@@ -6,7 +6,7 @@ deterministic and pure; the rest of the library builds on it.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -31,17 +31,25 @@ def _sieve_primes():
     return _small_primes
 
 
+def p_valuation(x: int, p: int) -> int:
+    """The exponent of the prime p in the nonzero integer x."""
+    if x == 0:
+        raise ValueError("0 has no finite valuation")
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = p_valuation(n - 1, 2)
+    d = (n - 1) >> r
     for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -64,10 +72,7 @@ class Factorization:
         return [p for p, _ in self.factors]
 
     def reconstruct(self):
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
+        return prod(p**e for p, e in self.factors)
 
 
 def _brent_rho(n: int) -> int:

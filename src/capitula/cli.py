@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from math import prod
 
 from . import cycunits, fields, iwasawa, quadforms
 from . import criteria as cr
@@ -112,10 +113,8 @@ def _cache_append(cache_dir, p, chi_order, rec, chi_id=1):
         return
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, p, chi_order, chi_id)
-    line = (f"ell={rec.ell} p={rec.p} chi={rec.chi_order} n={rec.n} "
-            f"prec={rec.N} gens=[{','.join(rec.generators)}]\n")
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(line)
+        fh.write(cycunits.table_line(rec))
 
 
 def _fitting(ell, p, chi_order, cache_dir, cached, chi_id=1):
@@ -157,13 +156,11 @@ def _merge_verdicts(verdicts, invs):
         return verdicts[0]
     if verdicts[0].status == "no-potential":
         return verdicts[0]
-    order = kernel = 1
-    for d in invs:
-        order *= d
+    order = prod(invs)
+    kernel = prod(v.kernel_order for v in verdicts)
     kinvs = []
     certs = []
     for v in verdicts:
-        kernel *= v.kernel_order
         kinvs.extend(v.kernel_invariants or ())
         for c in v.certificates:
             if c not in certs:
@@ -312,7 +309,6 @@ def _build_parser():
     top = argparse.ArgumentParser(prog="capitula")
     top.add_argument("--format", default="csv",
                      choices=("csv", "json", "md-table"))
-    top.add_argument("--seed", type=int, default=0)
     top.add_argument("--cache", default=None)
     top.add_argument("--jobs", type=int, default=1)
     sub = top.add_subparsers(dest="command", required=True)
@@ -367,16 +363,10 @@ def main(argv=None, out=None):
         cls, order = quadforms.visible_class(args.disc, args.d1)
         out.write(f"class=({cls.a},{cls.b},{cls.c}) order={order}\n")
     elif args.command == "fitting":
-        cached = _cache_load(cache, args.p, args.chi) if cache else {}
-        if args.ell in cached and args.chi_id == 1:
-            rec = cached[args.ell]
-        else:
-            rec = cycunits.compute_fitting_ideal(
-                args.ell, args.p, args.chi, chi_id=args.chi_id,
-                seed=args.seed)
-            _cache_append(cache, args.p, args.chi, rec)
-        out.write(f"ell={rec.ell} p={rec.p} chi={rec.chi_order} n={rec.n} "
-                  f"prec={rec.N} gens=[{','.join(rec.generators)}]\n")
+        rec = _fitting(args.ell, args.p, args.chi, cache,
+                       _cache_load(cache, args.p, args.chi, args.chi_id),
+                       args.chi_id)
+        out.write(cycunits.table_line(rec))
     elif args.command == "capitulation":
         field = cr.quadratic_real_field(args.ell)
         group = quadforms.class_group(args.ell)
@@ -384,8 +374,8 @@ def main(argv=None, out=None):
         try:
             verdict = cr.classify(field, args.p, class_invariants=inv)
         except InsufficientData:
-            cached = _cache_load(cache, args.p, 2) if cache else {}
-            rec = _fitting(args.ell, args.p, 2, cache, cached)
+            rec = _fitting(args.ell, args.p, 2, cache,
+                           _cache_load(cache, args.p, 2))
             verdict = cr.classify(field, args.p, class_invariants=inv,
                                   fitting=rec)
         out.write(verdict.to_json() + "\n")
@@ -410,9 +400,9 @@ def main(argv=None, out=None):
         records = cycunits.ingest_table(args.file)
         out.write(f"ingested {len(records)} records\n")
     elif args.command == "export":
-        cached = _cache_load(cache, args.p, args.chi) if cache else {}
+        cached = _cache_load(cache, args.p, args.chi)
         rec = cached.get(args.ell) or cycunits.compute_fitting_ideal(
-            args.ell, args.p, args.chi, seed=args.seed)
+            args.ell, args.p, args.chi)
         cycunits.export_table([rec], args.file)
         out.write(f"exported 1 record to {args.file}\n")
     return 0

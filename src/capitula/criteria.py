@@ -12,8 +12,9 @@ explicit fixture table.
 
 import json
 from dataclasses import dataclass
+from math import gcd, prod
 
-from .arith import factor
+from .arith import factor, p_valuation
 from .errors import HypothesisNotMet, InsufficientData
 from .iwasawa import (capitulation_module, eigenspace_class_invariants,
                       maximal_capitulation)
@@ -83,17 +84,8 @@ def _euler_phi(n):
     return out
 
 
-def _order(invariants):
-    out = 1
-    for d in invariants:
-        out *= d
-    return out
-
-
 def _torsion_subgroup(invariants, m):
     """Invariants of the subgroup of elements of order dividing m."""
-    from math import gcd
-
     return tuple(g for g in (gcd(d, m) for d in invariants) if g > 1)
 
 
@@ -125,13 +117,13 @@ def lemma4_i(p_part_F, p_part_L, ell, a, ramification_ok):
     inv_L = (p_part_L,) if isinstance(p_part_L, int) else tuple(p_part_L)
     if not ramification_ok:
         raise HypothesisNotMet("unramified subextension not excluded")
-    hF, hL = _order(inv_F), _order(inv_L)
+    hF, hL = prod(inv_F), prod(inv_L)
     if hL % hF or (hL // hF) % ell == 0:
         raise HypothesisNotMet(f"{ell} divides h_L/h_F")
     kernel = _torsion_subgroup(inv_F, ell**a)
     return {
         "rule": "lemma4_i",
-        "kernel_order": _order(kernel),
+        "kernel_order": prod(kernel),
         "kernel_invariants": kernel,
         "exact": True,
         "inputs": (("ell", ell), ("a", a)),
@@ -178,7 +170,7 @@ def imaginary_bound(field, class_invariants):
     fully by genus theory.  Exponent-4 groups are left undetermined."""
     inv = tuple(class_invariants)
     exponent = max(inv, default=1)
-    order = _order(inv)
+    order = prod(inv)
     if exponent == 1:
         return {"rule": "imaginary_bound", "status": "none",
                 "kernel_order": 1, "kernel_invariants": (),
@@ -190,11 +182,11 @@ def imaginary_bound(field, class_invariants):
     bound = _torsion_subgroup(inv, 4)
     if exponent == 4:
         return {"rule": "cor2_bound", "status": "undetermined",
-                "kernel_order": (1, _order(bound)),
+                "kernel_order": (1, prod(bound)),
                 "kernel_invariants": None,
                 "inputs": (("invariants", inv), ("bound", bound))}
     return {"rule": "cor2_bound", "status": "undetermined",
-            "kernel_order": (1, _order(bound)), "kernel_invariants": None,
+            "kernel_order": (1, prod(bound)), "kernel_invariants": None,
             "non_capitulating": True,
             "inputs": (("invariants", inv), ("bound", bound))}
 
@@ -248,7 +240,7 @@ def classify(field, p, class_invariants=None, fitting=None,
     if class_invariants is None:
         raise InsufficientData("no class part and no Fitting record supplied")
     inv = tuple(class_invariants)
-    order = _order(inv)
+    order = prod(inv)
 
     def verdict(kernel_order, kernel_invariants, status):
         return CapitulationVerdict(field, p, kernel_order, kernel_invariants,
@@ -291,7 +283,7 @@ def classify(field, p, class_invariants=None, fitting=None,
             invL = tuple(class_invariants_L)
             if len(inv) <= 1 and len(invL) == 1:
                 f = _p_log(order, p)
-                k = _p_log(_order(invL), p)
+                k = _p_log(prod(invL), p)
                 frag = lemma4_ii(f, k, p)
                 certs.append(_cert(frag))
                 return verdict(1, (), "none")
@@ -321,8 +313,9 @@ def classify(field, p, class_invariants=None, fitting=None,
                       (("order", kernel), ("invariants", module.invariants))))
         # maximal p-capitulation: every class with potential capitulation
         # (order dividing the p-part of phi(n)/degree) actually capitulates
-        potential = _order(_torsion_subgroup(
-            inv, p ** _p_val(_euler_phi(field.conductor) // field.degree, p)))
+        potential_exp = p_valuation(_euler_phi(field.conductor)
+                                    // field.degree, p)
+        potential = prod(_torsion_subgroup(inv, p**potential_exp))
         if kernel == potential and kernel > 1:
             certs.append(("maximal_capitulation",
                           (("potential_subgroup_order", potential),)))
@@ -337,19 +330,8 @@ def classify(field, p, class_invariants=None, fitting=None,
     )
 
 
-def _p_val(x, p):
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def _p_log(x, p):
-    k = 0
-    while x > 1:
-        if x % p:
-            raise HypothesisNotMet("class part is not a p-group")
-        x //= p
-        k += 1
+    k = p_valuation(x, p)
+    if x != p**k:
+        raise HypothesisNotMet("class part is not a p-group")
     return k

@@ -19,7 +19,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .arith import factor, howell_array, is_prime, primitive_root
+from .arith import howell_array, is_prime, p_valuation, primitive_root
 from .errors import (BadAuxPrime, ChiOrderNotCoprime, ParseError,
                      PrecisionTooLow, RingMismatch, StabilizationFailure)
 from .iwasawa import (EigenRing, RingIdeal, _min_scalar_level, _orbit_rows,
@@ -140,30 +140,26 @@ def unit_image_mod_q(u: CyclotomicUnitSymbol, q, p, N):
     of Gal(Q(zeta_l)+/Q).  Deterministic given (q, least primitive roots).
     """
     ell = u.ell
-    if (q - 1) % (ell * p**N):
-        raise BadAuxPrime(f"q = {q} is not 1 mod ell*p^{N}")
     if p == 2 and (q - 1) % (ell * 2 ** (N + 1)):
         raise BadAuxPrime(f"q = {q} leaves the sign of units visible at p=2")
-    ctx = _QContext(ell, p, N, q)
-    s = ctx.s_table()
+    s = np.array(_QContext(ell, p, N, q).s_table(), dtype=np.int64)
     half = (ell - 1) // 2
     g0 = primitive_root(ell)
-    mod = p**N
+    orbit = [1] * half  # b = g0^e mod ell
+    for e in range(1, half):
+        orbit[e] = orbit[e - 1] * g0 % ell
+    b = np.array(orbit, dtype=np.int64)
 
     def s_of(a):
-        a %= ell
-        return s[min(a, ell - a)]
+        a = a % ell
+        return s[np.minimum(a, ell - a)]
 
-    out = np.zeros(half, dtype=np.int64)
-    b = 1
-    for e in range(half):
-        # sigma_b(u) expands into base elements via apply(); its dlog is
-        # sum_a e_a * (s(ab) - s(b))
-        t = sum(exp * s_of(a * b) for a, exp in u.exps)
-        t -= sum(exp for _, exp in u.exps) * s_of(b)
-        out[(-e) % half] = t % mod
-        b = b * g0 % ell
-    return out
+    # sigma_b(u) expands into base elements via apply(); its dlog is
+    # sum_a e_a * (s(ab) - s(b)), and it sits at index -e
+    t = -sum(exp for _, exp in u.exps) * s_of(b)
+    for a, exp in u.exps:
+        t += exp * s_of(a * b)
+    return t[-np.arange(half) % half] % p**N
 
 
 def _chi_projection(ring, vec, chi_id, D, Dinv, Pinv):
@@ -208,7 +204,6 @@ class FittingIdealRecord:
     generators: tuple  # element strings in the T/z grammar
     provenance: str = "computed"  # computed | ingested
     aux_primes_used: tuple = ()
-    seed: int = 0
     stabilization_count: int = 0
     choices: tuple = ()  # recorded fixed choices, as (key, value) pairs
 
@@ -225,12 +220,7 @@ class FittingIdealRecord:
 
 def tower_exponent(ell, p):
     """n with p^n exactly dividing (ell-1)/2."""
-    v = 0
-    m = (ell - 1) // 2
-    while m % p == 0:
-        m //= p
-        v += 1
-    return v
+    return p_valuation((ell - 1) // 2, p)
 
 
 def _extract_generators(R, howell_rows, pivots, scalar_val):
@@ -263,8 +253,8 @@ def _extract_generators(R, howell_rows, pivots, scalar_val):
     return tuple(out), current
 
 
-def compute_fitting_ideal(ell, p, chi_order, chi_id=1, N=None, budget=60,
-                          seed=0) -> FittingIdealRecord:
+def compute_fitting_ideal(ell, p, chi_order, chi_id=1, N=None,
+                          budget=60) -> FittingIdealRecord:
     """Sample the ideal I with B(chi^-1) = O[[T]]/(I, p^N) for the degree-
     chi_order character of conductor ell.
 
@@ -286,7 +276,7 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1, N=None, budget=60,
         while True:
             try:
                 return compute_fitting_ideal(ell, p, chi_order, chi_id, N,
-                                             budget, seed)
+                                             budget)
             except PrecisionTooLow:
                 if 2 * N > cap:
                     raise
@@ -299,8 +289,7 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1, N=None, budget=60,
         raise ValueError("chi_order must divide the prime-to-p part")
     Dinv = pow(D, -1, p**n) if n else 0
     Pinv = pow(p**n, -1, D) if D > 1 else 0
-    g0 = primitive_root(ell)
-    half = (ell - 1) // 2
+    u = CyclotomicUnitSymbol.generator(ell)
 
     stream = _aux_prime_stream(ell, p, n_work)
     rows = np.zeros((0, R_work.rank), dtype=np.int64)
@@ -314,15 +303,7 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1, N=None, budget=60,
         for _ in range(4):
             q = next(stream)
             used.append(q)
-            ctx = _QContext(ell, p, n_work, q)
-            s = ctx.s_table()
-            vec = np.zeros(half, dtype=np.int64)
-            b = 1
-            for e in range(half):
-                bg = b * g0 % ell
-                t = s[min(bg, ell - bg)] - s[min(b, ell - b)]
-                vec[(-e) % half] = t % p**n_work
-                b = bg
+            vec = unit_image_mod_q(u, q, p, n_work)
             lam_new.append(
                 _chi_projection(R_work, vec, chi_id, D, Dinv, Pinv)
             )
@@ -364,7 +345,7 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1, N=None, budget=60,
     return FittingIdealRecord(
         ell=ell, p=p, chi_order=chi_order, chi_id=chi_id, n=n, N=N,
         generators=gens, provenance="computed", aux_primes_used=tuple(used),
-        seed=seed, stabilization_count=stable, choices=choices,
+        stabilization_count=stable, choices=choices,
     )
 
 
@@ -382,6 +363,12 @@ def _max_precision(p):
 _LINE = re.compile(
     r"ell=(\d+)\s+p=(\d+)\s+chi=(\d+)\s+n=(\d+)\s+prec=(\d+)\s+gens=\[([^\]]*)\]\s*$"
 )
+
+
+def table_line(rec):
+    """rec as one newline-terminated table line, the form _LINE reads."""
+    return (f"ell={rec.ell} p={rec.p} chi={rec.chi_order} n={rec.n} "
+            f"prec={rec.N} gens=[{','.join(rec.generators)}]\n")
 
 
 def ingest_table(path):
@@ -417,12 +404,7 @@ def ingest_table(path):
 
 def export_table(records, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            gens = ",".join(rec.generators)
-            fh.write(
-                f"ell={rec.ell} p={rec.p} chi={rec.chi_order} n={rec.n} "
-                f"prec={rec.N} gens=[{gens}]\n"
-            )
+        fh.writelines(table_line(rec) for rec in records)
 
 
 def cache_dir(default=None):

@@ -10,12 +10,12 @@ membership questions reduce to exact linear algebra over Z/p^N.
 
 import re
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import numpy as np
 
-from .arith import howell_array, howell_contains, is_prime, quotient_invariants, \
-    smith_diagonalize, left_kernel
+from .arith import howell_array, howell_contains, is_prime, left_kernel, \
+    p_valuation, quotient_invariants, smith_diagonalize
 from .errors import ChiOrderNotCoprime, NotPrime, ParseError, PrecisionTooLow, \
     RingMismatch
 
@@ -647,17 +647,6 @@ class RingIdeal:
         return self.ring.from_vector(v)
 
 
-def _val(x, p, N):
-    x %= p**N
-    if x == 0:
-        return N
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def _orbit_rows(elt):
     """Flattened coordinates of elt * zeta^i * T^j over the whole basis."""
     R = elt.ring
@@ -693,8 +682,8 @@ def ideal_make(R, gens, scalar_hint=None) -> RingIdeal:
             else:
                 g = parse_element(R, g)
         if isinstance(g, int):
-            v = _int_valuation(g, R.p)
-            if v is not None:
+            if g:
+                v = p_valuation(g, R.p)
                 level = v if level is None else min(level, v)
             g = R.scalar(g)
         if g.ring != R:
@@ -711,17 +700,6 @@ def ideal_make(R, gens, scalar_hint=None) -> RingIdeal:
     if level is not None:
         level = min(level, R.N)
     return RingIdeal(R, tuple(elements), H, piv, level)
-
-
-def _int_valuation(g, p):
-    g = abs(g)
-    if g == 0:
-        return None
-    v = 0
-    while g % p == 0:
-        g //= p
-        v += 1
-    return v
 
 
 def _min_scalar_level(H, piv, R):
@@ -765,10 +743,7 @@ def eigenspace_class_invariants(R, I) -> tuple:
 
 def eigenspace_class_order(R, I) -> int:
     """|R/(I + (T))| — the order of the chi-part of the class group."""
-    order = 1
-    for d in eigenspace_class_invariants(R, I):
-        order *= d
-    return order
+    return prod(eigenspace_class_invariants(R, I))
 
 
 def level_class_order(R, I, m) -> int:
@@ -781,11 +756,7 @@ def level_class_order(R, I, m) -> int:
         rows = I.howell
     else:
         rows = np.vstack([I.howell, np.array(_orbit_rows(om), dtype=np.int64)])
-    invs = quotient_invariants(rows, R.p, R.N)
-    order = 1
-    for d in invs:
-        order *= d
-    return order
+    return prod(quotient_invariants(rows, R.p, R.N))
 
 
 def maximal_capitulation(R, I) -> bool:
@@ -800,53 +771,44 @@ class CapitulationModule:
     invariants: tuple
 
 
-def _group_closure(gens, moduli, cap):
-    """All elements of the subgroup of prod Z/moduli generated by gens."""
-    zero = tuple([0] * len(moduli))
-    seen = {zero}
-    frontier = [zero]
-    gens = [tuple(int(x) % m for x, m in zip(g, moduli)) for g in gens]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = tuple((a + b) % m for a, b, m in zip(v, g, moduli))
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-                    if len(seen) > cap:
-                        raise ArithmeticError("kernel enumeration exceeded cap")
-        frontier = nxt
-    return seen
-
-
 def _t_kernel_data(R, I):
-    """The T-kernel K = {f : Tf in I}/I and the image W of (omega_n/T) + I,
-    as explicit subgroups of the quotient Q = R/I in Smith coordinates."""
+    """The T-kernel K = {f : Tf in I} and W = I + (omega_n(T)/T) as Howell
+    forms, and the rows diag(p^a_i) spanning I, all in the nontrivial Smith
+    coordinates of Q = R/I, the sum of the Z/p^a_i with a_i > 0."""
     p, N, mod = R.p, R.N, R.mod
     diag, _, V, Vinv = smith_diagonalize(I.howell, p, N, want_u=False, want_v=True)
-    a = list(diag) + [N] * (R.rank - len(diag))
-    moduli = [p**ai for ai in a]
-    # multiplication by T on Q in these coordinates
-    MT = R.mul_t_matrix()
-    Mq = (Vinv @ MT @ V) % mod
-    scale = np.array([p ** (N - ai) for ai in a], dtype=np.int64)
-    A = (Mq * scale[None, :]) % mod
-    kernel_rows = left_kernel(A, p, N)
-    lam = [np.eye(R.rank, dtype=np.int64)[i] * moduli[i] for i in range(R.rank)]
-    K = _group_closure(list(kernel_rows) + lam, moduli, cap=1 << 22)
-    w_rows = (np.array(_orbit_rows(R.omega_over_t()), dtype=np.int64) @ V) % mod
-    W = _group_closure(list(w_rows) + lam, moduli, cap=1 << 22)
-    if not W <= K:
+    a = np.array(list(diag) + [N] * (R.rank - len(diag)), dtype=np.int64)
+    S = np.flatnonzero(a > 0)
+    if not S.size:
+        empty = np.zeros((0, 0), dtype=np.int64)
+        return empty, empty, empty
+    a = a[S]
+    lattice = np.diag(p**a) % mod
+    # multiplication by T on Q; scaling column j by p^(N - a_j) turns
+    # (x Tq)_j = 0 mod p^a_j into a kernel condition mod p^N
+    Tq = (Vinv[S] @ R.mul_t_matrix() % mod) @ V[:, S] % mod
+    K, kpiv = howell_array(
+        np.vstack([left_kernel(Tq * p ** (N - a) % mod, p, N), lattice]), p, N)
+    w = np.array(_orbit_rows(R.omega_over_t()), dtype=np.int64) @ V[:, S] % mod
+    W, _ = howell_array(np.vstack([w, lattice]), p, N)
+    if not all(howell_contains(K, kpiv, row, p, N) for row in W):
         raise AssertionError("omega_n/T multiples must lie in the T-kernel")
-    return K, W, moduli
+    return K, W, lattice
+
+
+def _relative_invariants(K, W, p, N):
+    """Cyclic invariants of K/W for row modules W <= K over Z/p^N: the rows
+    of K generate it, subject to the relations {c : cK in W}, which are the
+    K-parts of the left kernel of [K; W]."""
+    rel = left_kernel(np.vstack([K, W]), p, N)[:, :K.shape[0]]
+    return quotient_invariants(rel, p, N)
 
 
 def t_kernel_order(R, I) -> int:
     """|{f : Tf in I}/I|; equals |R/(I+(T))| (kernel/cokernel duality)."""
     _require_precision(I)
-    K, _, _ = _t_kernel_data(R, I)
-    return len(K)
+    K, _, lattice = _t_kernel_data(R, I)
+    return prod(_relative_invariants(K, lattice, R.p, R.N))
 
 
 def capitulation_module(R, I) -> CapitulationModule:
@@ -854,39 +816,6 @@ def capitulation_module(R, I) -> CapitulationModule:
     there is no capitulation, and of full class order for maximal
     capitulation."""
     _require_precision(I)
-    K, W, moduli = _t_kernel_data(R, I)
-    assert len(K) % len(W) == 0
-    order = len(K) // len(W)
-    invariants = _quotient_group_invariants(K, W, moduli, R.p, order)
-    return CapitulationModule(order, invariants)
-
-
-def _quotient_group_invariants(K, W, moduli, p, order):
-    if order == 1:
-        return ()
-    counts = [1]  # |(K/W)[p^k]|
-    k = 0
-    while counts[-1] < order:
-        k += 1
-        pk = p**k
-        c = sum(
-            1
-            for x in K
-            if tuple((pk * xi) % m for xi, m in zip(x, moduli)) in W
-        )
-        counts.append(c // len(W))
-    parts = []
-    for j in range(1, len(counts)):
-        ratio = counts[j] // counts[j - 1]
-        nk = 0
-        while ratio > 1:
-            ratio //= p
-            nk += 1
-        parts.append(nk)
-    lam = []
-    for j, nk in enumerate(parts, start=1):
-        while len(lam) < nk:
-            lam.append(0)
-        for i in range(nk):
-            lam[i] = j
-    return tuple(sorted(p**e for e in lam if e))
+    K, W, _ = _t_kernel_data(R, I)
+    invariants = tuple(_relative_invariants(K, W, R.p, R.N))
+    return CapitulationModule(prod(invariants), invariants)

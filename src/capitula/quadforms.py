@@ -10,9 +10,9 @@ and wide groups agree, which is the regime the survey code relies on.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
-from .arith import factor, is_prime
+from .arith import factor, p_valuation
 from .errors import NoFormFound, NormMinusOne, NotFundamental, Overflow
 
 _DISC_BOUND = 10**7
@@ -264,34 +264,15 @@ def _abelian_invariants(elements, d, h):
         for k in range(1, vmax + 1):
             pk = p**k
             counts.append(sum(1 for x in elements if form_pow(x, pk) == e))
-        # number of cyclic factors of order >= p^k
-        parts = []
-        for k in range(1, vmax + 1):
-            r = 0
-            while counts[k] > counts[k - 1] * p**r:
-                r += 1
-            # log_p(counts[k]/counts[k-1]) cyclic factors reach order p^k
-            nk = 0
-            ratio = counts[k] // counts[k - 1]
-            while ratio > 1:
-                ratio //= p
-                nk += 1
-            parts.append(nk)
-        lam = []
-        for k, nk in enumerate(parts, start=1):
-            while len(lam) < nk:
-                lam.append(0)
-            for i in range(nk):
-                lam[i] = k
-        per_prime[p] = sorted((p**k for k in lam if k), reverse=True)
+        # log_p(counts[k]/counts[k-1]) cyclic factors reach order p^k, so
+        # the i-th largest factor has exponent #{k : parts[k] > i}
+        parts = [p_valuation(counts[k] // counts[k - 1], p)
+                 for k in range(1, vmax + 1)]
+        per_prime[p] = [p ** sum(1 for nk in parts if nk > i)
+                        for i in range(parts[0])]
     rank = max(len(v) for v in per_prime.values())
-    invs = []
-    for i in range(rank):
-        v = 1
-        for p, lst in per_prime.items():
-            if i < len(lst):
-                v *= lst[i]
-        invs.append(v)
+    invs = [prod(lst[i] for lst in per_prime.values() if i < len(lst))
+            for i in range(rank)]
     return tuple(sorted(invs))
 
 
@@ -365,15 +346,8 @@ def _disc_prime_factors(d):
 
 def p_part(g: FormClassGroup, p: int):
     """Cyclic invariants of the p-primary component, ascending."""
-    out = []
-    for inv in g.invariants:
-        v = 1
-        while inv % p == 0:
-            inv //= p
-            v *= p
-        if v > 1:
-            out.append(v)
-    return out
+    parts = (p ** p_valuation(inv, p) for inv in g.invariants)
+    return [v for v in parts if v > 1]
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +423,8 @@ def _odd_square_split(value, d1):
     r, w = 1, 1
     rest = value
     for p in sorted(set(factor(2 * abs(d1)).primes())):
-        v = 0
-        while rest % p == 0:
-            rest //= p
-            v += 1
+        v = p_valuation(rest, p)
+        rest //= p**v
         r *= p ** (v % 2)
         w *= p ** (v // 2)
     s = isqrt(rest)

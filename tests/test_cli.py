@@ -47,6 +47,19 @@ class TestSubcommands:
         with pytest.raises(SystemExit):
             run_cli("scan", "--kind", "quad", "--p", "3", "--max", "20001")
 
+    def test_fitting_cache_keeps_chi_ids_apart(self, tmp_path):
+        # the conjugate character's ideal must not be served for chi id 1
+        cache = str(tmp_path)
+        args = ("--cache", cache, "fitting", "--ell", "7489", "--p", "2",
+                "--chi", "3", "--chi-id")
+        first = run_cli(*args, "2")
+        assert "gens=[2+T+z*T^2,8]" in first
+        second = run_cli(*args, "1")
+        assert "gens=[2+T+T^2+z*T^2,8]" in second
+        with open(cli._cache_path(cache, 2, 3, 2), encoding="utf-8") as fh:
+            assert fh.read() == first
+        assert run_cli(*args, "2") == first
+
     def test_ingest_export_roundtrip(self, tmp_path):
         path = tmp_path / "t.txt"
         run_cli("export", "--file", str(path), "--ell", "2089",

@@ -133,8 +133,8 @@ class TestComputeFittingIdeal:
         assert rec2.ideal() == iw.ideal_make(R, conj, scalar_hint=3)
 
     def test_determinism(self):
-        a = cu.compute_fitting_ideal(229, 3, 2, N=3, seed=1)
-        b = cu.compute_fitting_ideal(229, 3, 2, N=3, seed=1)
+        a = cu.compute_fitting_ideal(229, 3, 2, N=3)
+        b = cu.compute_fitting_ideal(229, 3, 2, N=3)
         assert a == b
 
     def test_default_precision(self):

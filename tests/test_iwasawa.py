@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -155,6 +156,22 @@ def random_gens(R, rng, k=2):
             for _ in range(k)]
 
 
+def brute_t_kernel(R, span):
+    """{f : Tf in span}, by running over every element of R."""
+    return {v for v in itertools.product(range(R.mod), repeat=R.rank)
+            if tuple(R.from_vector(v).mul_t().flat()) in span}
+
+
+def assert_invariants_by_torsion(R, cm, kernel, span_w):
+    """The orders |(K/W)[p^k]| = prod gcd(d, p^k) fix the invariants d."""
+    for k in range(1, R.N + 1):
+        pk = R.p**k
+        torsion = sum(1 for v in kernel
+                      if tuple(pk * x % R.mod for x in v) in span_w)
+        assert torsion // len(span_w) == math.prod(
+            math.gcd(d, pk) for d in cm.invariants)
+
+
 class TestIdealBruteForce:
     """Exhaustive oracles on rings small enough to enumerate fully."""
 
@@ -197,7 +214,27 @@ class TestIdealBruteForce:
                 assert iw.t_kernel_order(R, I) == len(kernel) // len(span)
                 span_w = brute_ideal_span(R, gens + [R.omega_over_t()])
                 expected = len(kernel) // len(span_w)
-                assert iw.capitulation_module(R, I).order == expected
+                cm = iw.capitulation_module(R, I)
+                assert cm.order == expected
+                assert_invariants_by_torsion(R, cm, kernel, span_w)
+
+    def test_module_invariants_on_proper_ideals(self):
+        # generators in (p, T) keep the ideal proper, so that K/W is mostly
+        # nontrivial; this sample meets (2), (3), (4) and (2, 2)
+        rng = random.Random(45)
+        for R in small_rings() + [iw.ring_make(2, 2, 1, 3)]:
+            for _ in range(3):
+                gens = [g.mul_t() + h.scale(R.p) for g, h in
+                        zip(random_gens(R, rng), random_gens(R, rng))]
+                gens.append(R.scalar(R.p ** (R.N - 1)))
+                I = iw.ideal_make(R, gens)
+                span = brute_ideal_span(R, gens)
+                kernel = brute_t_kernel(R, span)
+                span_w = brute_ideal_span(R, gens + [R.omega_over_t()])
+                cm = iw.capitulation_module(R, I)
+                assert cm.order == len(kernel) // len(span_w)
+                assert iw.t_kernel_order(R, I) == len(kernel) // len(span)
+                assert_invariants_by_torsion(R, cm, kernel, span_w)
 
     def test_duality_identity(self):
         # |{f : Tf in I}/I| = |R/(I+(T))| on random ideals
@@ -305,6 +342,14 @@ class TestWorkedExamples:
         assert conj.reduce(R.omega_over_t()) == conj.reduce(R.zeta().scale(4))
         zbar = -(R.one() + R.zeta())  # the other cube root of unity
         assert I.reduce(R.omega_over_t()) == I.reduce(zbar.scale(4))
+
+    def test_kernel_beyond_enumeration(self):
+        # |K/I| = 2^23: far too many elements to list one by one
+        R = iw.ring_make(2, 1, 1, 30)
+        I = iw.ideal_make(R, [2**23])
+        assert iw.t_kernel_order(R, I) == iw.eigenspace_class_order(R, I) \
+            == 2**23
+        assert iw.capitulation_module(R, I).order == 1
 
     def test_example3_index_16(self):
         # {f : Tf in I} has index 16 in R: |R/I| = 64 and |K| = 4
