@@ -10,7 +10,7 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
-from .errors import NotAGenerator, NotPrime
+from .errors import NotAGenerator, NotPrime, Overflow
 
 # Deterministic Miller-Rabin witness set, valid for all n < 2^64.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -380,6 +380,13 @@ def howell_contains(H, pivots, v, p, N):
     return not v.any()
 
 
+def check_int64_sums(mod, dim):
+    """Raise Overflow unless a sum of dim products of residues mod `mod`,
+    as in a matrix product with inner dimension dim, fits in int64."""
+    if mod * mod * dim >= 1 << 63:
+        raise Overflow(f"{dim} products of residues mod {mod} overflow int64")
+
+
 def smith_diagonalize(A, p, N, want_u=True, want_v=False):
     """Diagonalize A over Z/p^N by invertible row/column operations.
 
@@ -391,6 +398,8 @@ def smith_diagonalize(A, p, N, want_u=True, want_v=False):
         raise ValueError("modulus too large for int64 arithmetic")
     M = np.array(A, dtype=np.int64) % mod
     nr, nc = M.shape
+    if want_v:
+        check_int64_sums(mod, nc)  # c2 @ Vinv
     U = np.eye(nr, dtype=np.int64) if want_u else None
     V = np.eye(nc, dtype=np.int64) if want_v else None
     Vinv = np.eye(nc, dtype=np.int64) if want_v else None

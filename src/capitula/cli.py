@@ -105,7 +105,7 @@ def _cache_load(cache_dir, p, chi_order, chi_id=1):
     path = _cache_path(cache_dir, p, chi_order, chi_id)
     if not os.path.exists(path):
         return {}
-    return {rec.ell: rec for rec in cycunits.ingest_table(path)}
+    return {rec.ell: rec for rec in cycunits.ingest_table(path, chi_id)}
 
 
 def _cache_append(cache_dir, p, chi_order, rec, chi_id=1):
@@ -118,8 +118,10 @@ def _cache_append(cache_dir, p, chi_order, rec, chi_id=1):
 
 
 def _fitting(ell, p, chi_order, cache_dir, cached, chi_id=1):
-    if ell in cached:
-        return cached[ell]
+    """cached, the cache's record for ell, or else a newly computed record,
+    which is appended to the cache."""
+    if cached is not None:
+        return cached
     rec = cycunits.compute_fitting_ideal(ell, p, chi_order, chi_id=chi_id)
     _cache_append(cache_dir, p, chi_order, rec, chi_id)
     return rec
@@ -130,7 +132,7 @@ def _fitting(ell, p, chi_order, cache_dir, cached, chi_id=1):
 
 
 def _scan_quadratic_one(args):
-    ell, p, cache_dir = args
+    ell, p, cache_dir, cached = args
     started = time.monotonic()
     field = cr.quadratic_real_field(ell)
     try:
@@ -141,8 +143,7 @@ def _scan_quadratic_one(args):
         try:
             verdict = cr.classify(field, p, class_invariants=inv)
         except InsufficientData:
-            rec = _fitting(ell, p, 2, cache_dir,
-                           _cache_load(cache_dir, p, 2))
+            rec = _fitting(ell, p, 2, cache_dir, cached)
             verdict = cr.classify(field, p, class_invariants=inv, fitting=rec)
         return _record(ell, "quadratic-real", p, verdict, started, inv)
     except (StabilizationFailure, PrecisionTooLow, CapitulaError) as exc:
@@ -176,17 +177,13 @@ def _merge_verdicts(verdicts, invs):
 
 
 def _scan_cubic_one(args):
-    ell, p, cache_dir = args
+    ell, p, cache_dir, cached = args  # cached: {chi id: record or None}
     started = time.monotonic()
     field = cr.cyclic_cubic_field(ell)
     try:
-        # p = 1 (mod 3): the two conjugate cubic characters give distinct
-        # p-adic eigenspaces, and the class part is their direct sum
-        chi_ids = (1, 2) if p % 3 == 1 else (1,)
         invs, verdicts = [], []
-        for cid in chi_ids:
-            rec = _fitting(ell, p, 3, cache_dir,
-                           _cache_load(cache_dir, p, 3, cid), chi_id=cid)
+        for cid, hit in cached.items():
+            rec = _fitting(ell, p, 3, cache_dir, hit, chi_id=cid)
             R = rec.ring()
             inv = iwasawa.eigenspace_class_invariants(R, rec.ideal(R))
             if inv:
@@ -213,17 +210,25 @@ def _run_scan(worker, tasks, jobs):
 
 def scan_quadratic(p, residue, modulus, ell_max, jobs=1, cache=None):
     """Records for primes ell = residue (mod modulus), ell < ell_max, whose
-    real quadratic field Q(sqrt(ell)) has a nontrivial p-class part."""
-    tasks = [(ell, p, cache) for ell in range(residue, ell_max, modulus)
+    real quadratic field Q(sqrt(ell)) has a nontrivial p-class part.  The
+    cache table is read once, and each task carries its own record."""
+    table = _cache_load(cache, p, 2)
+    tasks = [(ell, p, cache, table.get(ell))
+             for ell in range(residue, ell_max, modulus)
              if ell > 4 and is_prime(ell)]
     return _run_scan(_scan_quadratic_one, tasks, jobs)
 
 
 def scan_cubic(p, ell_max, jobs=1, cache=None):
     """Records for cubic fields of prime conductor ell = 1 (mod 3),
-    ell < ell_max, with nontrivial p-part of the chi-eigenspace."""
-    tasks = [(ell, p, cache) for ell in range(7, ell_max, 3)
-             if is_prime(ell)]
+    ell < ell_max, with nontrivial p-part of the chi-eigenspace.  Each cache
+    table is read once, and each task carries its own records."""
+    # p = 1 (mod 3): the two conjugate cubic characters give distinct
+    # p-adic eigenspaces, and the class part is their direct sum
+    chi_ids = (1, 2) if p % 3 == 1 else (1,)
+    tables = {cid: _cache_load(cache, p, 3, cid) for cid in chi_ids}
+    tasks = [(ell, p, cache, {cid: t.get(ell) for cid, t in tables.items()})
+             for ell in range(7, ell_max, 3) if is_prime(ell)]
     return _run_scan(_scan_cubic_one, tasks, jobs)
 
 
@@ -344,6 +349,7 @@ def _build_parser():
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--chi", type=int, required=True)
+    p.add_argument("--chi-id", type=int, default=1)
     return top
 
 
@@ -364,7 +370,8 @@ def main(argv=None, out=None):
         out.write(f"class=({cls.a},{cls.b},{cls.c}) order={order}\n")
     elif args.command == "fitting":
         rec = _fitting(args.ell, args.p, args.chi, cache,
-                       _cache_load(cache, args.p, args.chi, args.chi_id),
+                       _cache_load(cache, args.p, args.chi,
+                                   args.chi_id).get(args.ell),
                        args.chi_id)
         out.write(cycunits.table_line(rec))
     elif args.command == "capitulation":
@@ -375,7 +382,7 @@ def main(argv=None, out=None):
             verdict = cr.classify(field, args.p, class_invariants=inv)
         except InsufficientData:
             rec = _fitting(args.ell, args.p, 2, cache,
-                           _cache_load(cache, args.p, 2))
+                           _cache_load(cache, args.p, 2).get(args.ell))
             verdict = cr.classify(field, args.p, class_invariants=inv,
                                   fitting=rec)
         out.write(verdict.to_json() + "\n")
@@ -400,9 +407,9 @@ def main(argv=None, out=None):
         records = cycunits.ingest_table(args.file)
         out.write(f"ingested {len(records)} records\n")
     elif args.command == "export":
-        cached = _cache_load(cache, args.p, args.chi)
+        cached = _cache_load(cache, args.p, args.chi, args.chi_id)
         rec = cached.get(args.ell) or cycunits.compute_fitting_ideal(
-            args.ell, args.p, args.chi)
+            args.ell, args.p, args.chi, chi_id=args.chi_id)
         cycunits.export_table([rec], args.file)
         out.write(f"exported 1 record to {args.file}\n")
     return 0

@@ -19,7 +19,8 @@ from math import comb, gcd
 
 import numpy as np
 
-from .arith import howell_array, is_prime, p_valuation, primitive_root
+from .arith import (check_int64_sums, howell_array, is_prime, p_valuation,
+                    primitive_root)
 from .errors import (BadAuxPrime, ChiOrderNotCoprime, ParseError,
                      PrecisionTooLow, RingMismatch, StabilizationFailure)
 from .iwasawa import (EigenRing, RingIdeal, _min_scalar_level, _orbit_rows,
@@ -180,6 +181,7 @@ def _chi_projection(ring, vec, chi_id, D, Dinv, Pinv):
         zi = (_CHI_SIGN * chi_id * y) % m
         c[x, zi] = (c[x, zi] + t) % mod
     # expand (1+T)^x via binomials, then zeta powers in the O-basis
+    check_int64_sums(mod, max(pn, m))
     B = np.zeros((pn, pn), dtype=np.int64)
     for x in range(pn):
         for k in range(x + 1):
@@ -371,7 +373,9 @@ def table_line(rec):
             f"prec={rec.N} gens=[{','.join(rec.generators)}]\n")
 
 
-def ingest_table(path):
+def ingest_table(path, chi_id=1):
+    """The records of one table file, each parsed against its ring; chi_id
+    names the character of the file, which its lines do not record."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -386,7 +390,7 @@ def ingest_table(path):
             if not gens:
                 raise ParseError("empty generator list", lineno)
             rec = FittingIdealRecord(
-                ell=ell, p=p, chi_order=chi, chi_id=1, n=n, N=prec,
+                ell=ell, p=p, chi_order=chi, chi_id=chi_id, n=n, N=prec,
                 generators=gens, provenance="ingested",
             )
             try:

@@ -10,12 +10,13 @@ membership questions reduce to exact linear algebra over Z/p^N.
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, gcd, prod
 
 import numpy as np
 
-from .arith import howell_array, howell_contains, is_prime, left_kernel, \
-    p_valuation, quotient_invariants, smith_diagonalize
+from .arith import check_int64_sums, howell_array, howell_contains, \
+    is_prime, left_kernel, p_valuation, quotient_invariants, smith_diagonalize
 from .errors import ChiOrderNotCoprime, NotPrime, ParseError, PrecisionTooLow, \
     RingMismatch
 
@@ -255,11 +256,13 @@ class EigenRing:
             for i, c in enumerate(cur):
                 xpow[d, i] = c % self.mod
             cur = _poly_divmod(_poly_mul(cur, [0, 1], self.mod), list(g), self.mod)[1]
+        xpow.setflags(write=False)
         self.xpow = xpow
         # T^(pn) = -sum_{k=1}^{pn-1} C(pn,k) T^k  (constant term vanishes)
         tred = np.zeros(self.pn, dtype=np.int64)
         for k in range(1, self.pn):
             tred[k] = (-comb(self.pn, k)) % self.mod
+        tred.setflags(write=False)
         self.tred = tred
         self._mul_t_matrix = None
         self._zeta = None
@@ -661,7 +664,11 @@ def _orbit_rows(elt):
     return rows
 
 
+@lru_cache(maxsize=None)
 def ring_make(p, n, chi_order, N) -> EigenRing:
+    """The one EigenRing for these parameters in this process: building a
+    ring factors Phi_m mod p and Hensel lifts, so every caller shares it.
+    Its arrays are read-only."""
     return EigenRing(p, n, chi_order, N)
 
 
@@ -786,6 +793,7 @@ def _t_kernel_data(R, I):
     lattice = np.diag(p**a) % mod
     # multiplication by T on Q; scaling column j by p^(N - a_j) turns
     # (x Tq)_j = 0 mod p^a_j into a kernel condition mod p^N
+    check_int64_sums(mod, R.rank)
     Tq = (Vinv[S] @ R.mul_t_matrix() % mod) @ V[:, S] % mod
     K, kpiv = howell_array(
         np.vstack([left_kernel(Tq * p ** (N - a) % mod, p, N), lattice]), p, N)

@@ -11,7 +11,9 @@ whole file runs in a few minutes, cold in well under an hour.
 """
 
 import random
+import shutil
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +212,48 @@ class TestCubicSurvey:
         assert "parity_obstruction" in names
         parts = dict(verdict.certificates)["eigenspace_class_part"]
         assert dict(parts)["invariants"] == (2, 2)
+
+
+class TestShippedTableReplay:
+    """The cubic surveys to 10^4 replayed from the shipped .scan_cache/
+    tables alone: each scan reads its tables once, and no Fitting ideal is
+    sampled."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        shipped = Path(__file__).resolve().parent.parent / ".scan_cache"
+        for table in shipped.glob("*.txt"):
+            shutil.copy(table, tmp_path)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("replay must not sample a Fitting ideal")
+
+        monkeypatch.setattr(cycunits, "compute_fitting_ideal", forbidden)
+        return str(tmp_path)
+
+    def test_cubic_surveys(self, cache):
+        recs = cli.scan_cubic(2, 10000, cache=cache)
+        assert len(recs) == 70
+        parity = [r for r in recs
+                  if any("parity" in c for c in r.certificates)]
+        assert len(parity) == 35
+        rest = [r.status for r in recs if r not in parity]
+        assert (rest.count("full"), rest.count("partial"),
+                rest.count("none")) == (28, 1, 6)
+        by_ell = {r.ell: r for r in recs}
+        assert by_ell[1777].status == "full"
+        assert by_ell[1777].class_part == (4, 4)
+        assert by_ell[4297].status == "partial"
+        assert by_ell[4297].kernel == 4
+
+        recs = cli.scan_cubic(7, 10000, cache=cache)
+        assert len(recs) == 24
+        assert sum(1 for r in recs if r.status == "no-potential") == 21
+        assert sum(1 for r in recs
+                   if "maximal_capitulation" in r.certificates) == 3
+        by_ell = {r.ell: r for r in recs}
+        assert by_ell[7351].class_part == (49,)
+        assert by_ell[7351].status == "full"
 
 
 # ---------------------------------------------------------------------------

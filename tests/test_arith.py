@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capitula import arith
-from capitula.errors import NotAGenerator, NotPrime
+from capitula.errors import NotAGenerator, NotPrime, Overflow
 
 
 class TestFactor:
@@ -201,6 +201,17 @@ class TestSmith:
             assert ((V @ Vinv) % mod == np.eye(c, dtype=np.int64)).all()
             # U invertible: determinant a unit mod p
             assert round(np.linalg.det(U % mod)) % p != 0
+
+    def test_int64_guard_at_boundary(self):
+        # dim products below 2^60 sum below 2^63 for dim = 7, not for 8
+        arith.check_int64_sums(2**30, 7)
+        with pytest.raises(Overflow):
+            arith.check_int64_sums(2**30, 8)
+        A = np.eye(7, dtype=np.int64)
+        assert arith.smith_diagonalize(A, 2, 30, False, True)[0] == [0] * 7
+        with pytest.raises(Overflow):
+            arith.smith_diagonalize(np.eye(8, dtype=np.int64), 2, 30,
+                                    False, True)
 
     def test_kernel(self):
         # left kernel rows annihilate A; kernel has the right size

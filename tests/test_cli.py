@@ -1,15 +1,30 @@
 import io
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from capitula import cli, cycunits
+
+SHIPPED = Path(__file__).resolve().parent.parent / ".scan_cache"
 
 
 def run_cli(*argv):
     out = io.StringIO()
     cli.main(list(argv), out=out)
     return out.getvalue()
+
+
+def shipped_cache(tmp_path, *names):
+    """A cache directory holding copies of the named shipped tables (all of
+    them when none is named)."""
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    for path in sorted(SHIPPED.glob("*.txt")):
+        if not names or path.name in names:
+            shutil.copy(path, cache)
+    return str(cache)
 
 
 class TestSubcommands:
@@ -59,6 +74,18 @@ class TestSubcommands:
         with open(cli._cache_path(cache, 2, 3, 2), encoding="utf-8") as fh:
             assert fh.read() == first
         assert run_cli(*args, "2") == first
+
+    def test_export_chi_id(self, tmp_path):
+        # ell = 313: the chi-id-2 ideal is (7), the chi-id-1 ideal is (1)
+        cache = shipped_cache(tmp_path, "fitting_p7_chi3_id2.txt")
+        path = tmp_path / "out.txt"
+        run_cli("--cache", cache, "export", "--file", str(path),
+                "--ell", "313", "--p", "7", "--chi", "3", "--chi-id", "2")
+        (got,) = cycunits.ingest_table(path, chi_id=2)
+        want = cli._cache_load(cache, 7, 3, 2)[313]
+        R = want.ring()
+        assert got.ideal(R) == want.ideal(R)
+        assert want.generators == ("7",)
 
     def test_ingest_export_roundtrip(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -117,6 +144,38 @@ class TestScans:
         monkeypatch.setattr(cycunits, "compute_fitting_ideal", boom)
         recs = cli.scan_quadratic(3, 1, 12, 300, cache=cache)
         assert [r.ell for r in recs] == [229]
+
+    def test_cache_load_stamps_chi_id(self, tmp_path):
+        cache = shipped_cache(tmp_path, "fitting_p7_chi3_id2.txt")
+        recs = cli._cache_load(cache, 7, 3, 2)
+        assert len(recs) == 611
+        assert all(r.chi_id == 2 for r in recs.values())
+
+    def test_warm_scan_reads_each_table_once(self, tmp_path, monkeypatch):
+        cache = shipped_cache(tmp_path)
+        calls = []
+        ingest = cycunits.ingest_table
+
+        def counting(path, *args, **kwargs):
+            calls.append(os.path.basename(path))
+            return ingest(path, *args, **kwargs)
+
+        monkeypatch.setattr(cycunits, "ingest_table", counting)
+        cli.scan_cubic(7, 200, cache=cache)
+        assert sorted(calls) == ["fitting_p7_chi3.txt",
+                                 "fitting_p7_chi3_id2.txt"]
+        calls.clear()
+        cli.scan_quadratic(3, 1, 12, 800, cache=cache)
+        assert calls == ["fitting_p3_chi2.txt"]
+
+    def test_warm_scan_jobs_match(self, tmp_path):
+        cache = shipped_cache(tmp_path)
+        strip = lambda rs: [r.row()[:7] + r.row()[8:] for r in rs]
+        # below 200 no p = 7 class part is nontrivial; 313 and 877 are
+        serial = cli.scan_cubic(7, 1000, cache=cache)
+        assert [r.ell for r in serial] == [313, 877]
+        assert strip(cli.scan_cubic(7, 1000, jobs=2, cache=cache)) \
+            == strip(serial)
 
     def test_imaginary_survey(self):
         # all 31 fundamental discriminants |d| < 100 produce records;

@@ -7,8 +7,8 @@ from capitula import cycunits as cu
 from capitula import iwasawa as iw
 from capitula import quadforms as qf
 from capitula.arith import is_prime
-from capitula.errors import (BadAuxPrime, ChiOrderNotCoprime, ParseError,
-                             RingMismatch)
+from capitula.errors import (BadAuxPrime, ChiOrderNotCoprime, Overflow,
+                             ParseError, RingMismatch)
 
 
 def aux_primes(ell, p, N, count):
@@ -88,6 +88,17 @@ class TestUnitImage:
             assert all(
                 w[(-e) % half] == v[(-(e + k)) % half] for e in range(half)
             )
+
+    def test_projection_int64_guard(self):
+        # p^N = 2^30 and D = 1: the binomial expansion sums p^n products,
+        # which fit in int64 for p^n = 4 and overflow it for p^n = 8
+        R = iw.ring_make(2, 2, 1, 30)
+        ones = np.ones(8, dtype=np.int64)
+        # sigma^e -> (1+T)^e for the trivial character
+        want = sum((R.one_plus_t_power(e) for e in range(4)), R.zero())
+        assert cu._chi_projection(R, ones[:4], 1, 1, 1, 0) == want
+        with pytest.raises(Overflow):
+            cu._chi_projection(iw.ring_make(2, 3, 1, 30), ones, 1, 1, 1, 0)
 
     def test_image_is_deterministic(self):
         u = cu.CyclotomicUnitSymbol.generator(13)

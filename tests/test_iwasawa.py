@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from capitula import iwasawa as iw
-from capitula.errors import ChiOrderNotCoprime, ParseError, PrecisionTooLow, \
-    RingMismatch
+from capitula.errors import ChiOrderNotCoprime, Overflow, ParseError, \
+    PrecisionTooLow, RingMismatch
 
 
 def ring_ex1():
@@ -51,6 +51,16 @@ class TestRingMake:
         g = R.one() + R.T()
         for e in range(R.pn):
             assert R.one_plus_t_power(e) == g**e
+
+    def test_ring_shared(self):
+        assert iw.ring_make(3, 2, 2, 3) is iw.ring_make(3, 2, 2, 3)
+
+    def test_ring_arrays_read_only(self):
+        R = ring_ex2()
+        with pytest.raises(ValueError):
+            R.xpow[0, 0] = 1
+        with pytest.raises(ValueError):
+            R.tred[1] = 0
 
     def test_split_zeta(self):
         # p = 7 is 1 mod 3: zeta_3 lives in Z_7 itself
@@ -350,6 +360,15 @@ class TestWorkedExamples:
         assert iw.t_kernel_order(R, I) == iw.eigenspace_class_order(R, I) \
             == 2**23
         assert iw.capitulation_module(R, I).order == 1
+
+    def test_int64_guard_at_boundary(self):
+        # p^N = 2^30: a sum of rank products of residues stays below 2^63
+        # for rank 4 (2^62) and reaches it for rank 8
+        R = iw.ring_make(2, 2, 1, 30)
+        assert iw.t_kernel_order(R, iw.ideal_make(R, [2**5])) == 2**5
+        R = iw.ring_make(2, 3, 1, 30)
+        with pytest.raises(Overflow):
+            iw.t_kernel_order(R, iw.ideal_make(R, [2**5]))
 
     def test_example3_index_16(self):
         # {f : Tf in I} has index 16 in R: |R/I| = 64 and |K| = 4
