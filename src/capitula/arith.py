@@ -114,9 +114,9 @@ def factor(m: int) -> Factorization:
     for p in _sieve_primes():
         if p * p > m:
             break
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
+        if m % p == 0:
+            fac[p] = p_valuation(m, p)
+            m //= p ** fac[p]
     stack = [m] if m > 1 else []
     while stack:
         n = stack.pop()
@@ -316,18 +316,6 @@ def _echelon(M, p, N):
     return M[:r], pivots
 
 
-def _reduce_against(v, H, pivots, p, N):
-    """Reduce row vector v against echelon rows H; returns the remainder."""
-    mod = p**N
-    v = v % mod
-    for r, col, k in pivots:
-        pk = p**k
-        c = int(v[col]) // pk
-        if c:
-            v = (v - c * H[r]) % mod
-    return v
-
-
 def howell_form(M: ResidueMatrix) -> ResidueMatrix:
     """Canonical Howell normal form of the row module of M over Z/p^N."""
     H, pivots = howell_array(M.to_array(), M.p, M.N)
@@ -351,7 +339,7 @@ def howell_array(A, p, N):
             if k == 0:
                 continue
             cand = H[r] * p ** (N - k) % mod
-            cand = _reduce_against(cand, H, pivots, p, N)
+            cand = howell_reduce(cand, H, pivots, p, N)
             if cand.any():
                 extra.append(cand)
         if not extra:
@@ -365,6 +353,18 @@ def howell_array(A, p, N):
         c = H[:r, col] // pk
         H[:r] = (H[:r] - c[:, None] * H[r]) % mod
     return H, pivots
+
+
+def howell_reduce(v, H, pivots, p, N):
+    """The remainder of row vector v against the echelon rows H: canonical
+    modulo their span when H is a Howell form."""
+    mod = p**N
+    v = v % mod
+    for r, col, k in pivots:
+        c = int(v[col]) // p**k
+        if c:
+            v = (v - c * H[r]) % mod
+    return v
 
 
 def howell_contains(H, pivots, v, p, N):

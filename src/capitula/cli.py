@@ -108,22 +108,25 @@ def _cache_load(cache_dir, p, chi_order, chi_id=1):
     return {rec.ell: rec for rec in cycunits.ingest_table(path, chi_id)}
 
 
-def _cache_append(cache_dir, p, chi_order, rec, chi_id=1):
+def _cache_append(cache_dir, records):
+    """Append each record to the table of its p, chi order and chi id.
+    Only the parent process calls this: scan workers return their records."""
     if not cache_dir:
         return
     os.makedirs(cache_dir, exist_ok=True)
-    path = _cache_path(cache_dir, p, chi_order, chi_id)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(cycunits.table_line(rec))
+    for rec in records:
+        path = _cache_path(cache_dir, rec.p, rec.chi_order, rec.chi_id)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(cycunits.table_line(rec))
 
 
-def _fitting(ell, p, chi_order, cache_dir, cached, chi_id=1):
+def _fitting(ell, p, chi_order, cached, fresh, chi_id=1):
     """cached, the cache's record for ell, or else a newly computed record,
-    which is appended to the cache."""
+    which is also appended to the list fresh for the caller to store."""
     if cached is not None:
         return cached
     rec = cycunits.compute_fitting_ideal(ell, p, chi_order, chi_id=chi_id)
-    _cache_append(cache_dir, p, chi_order, rec, chi_id)
+    fresh.append(rec)
     return rec
 
 
@@ -132,22 +135,25 @@ def _fitting(ell, p, chi_order, cache_dir, cached, chi_id=1):
 
 
 def _scan_quadratic_one(args):
-    ell, p, cache_dir, cached = args
+    """The survey record of one conductor (None when its p-part is trivial)
+    and the Fitting records computed for it, which the caller stores."""
+    ell, p, cached = args
     started = time.monotonic()
     field = cr.quadratic_real_field(ell)
+    fresh = []
     try:
         group = quadforms.class_group(ell)
         inv = tuple(quadforms.p_part(group, p))
         if not inv:
-            return None
+            return None, fresh
         try:
             verdict = cr.classify(field, p, class_invariants=inv)
         except InsufficientData:
-            rec = _fitting(ell, p, 2, cache_dir, cached)
+            rec = _fitting(ell, p, 2, cached, fresh)
             verdict = cr.classify(field, p, class_invariants=inv, fitting=rec)
-        return _record(ell, "quadratic-real", p, verdict, started, inv)
+        return _record(ell, "quadratic-real", p, verdict, started, inv), fresh
     except (StabilizationFailure, PrecisionTooLow, CapitulaError) as exc:
-        return _error_record(ell, "quadratic-real", p, exc, started)
+        return _error_record(ell, "quadratic-real", p, exc, started), fresh
 
 
 def _merge_verdicts(verdicts, invs):
@@ -177,13 +183,15 @@ def _merge_verdicts(verdicts, invs):
 
 
 def _scan_cubic_one(args):
-    ell, p, cache_dir, cached = args  # cached: {chi id: record or None}
+    """As _scan_quadratic_one, for the cyclic cubic field of conductor ell."""
+    ell, p, cached = args  # cached: {chi id: record or None}
     started = time.monotonic()
     field = cr.cyclic_cubic_field(ell)
+    fresh = []
     try:
         invs, verdicts = [], []
         for cid, hit in cached.items():
-            rec = _fitting(ell, p, 3, cache_dir, hit, chi_id=cid)
+            rec = _fitting(ell, p, 3, hit, fresh, chi_id=cid)
             R = rec.ring()
             inv = iwasawa.eigenspace_class_invariants(R, rec.ideal(R))
             if inv:
@@ -191,21 +199,33 @@ def _scan_cubic_one(args):
                 verdicts.append(
                     cr.classify(field, p, class_invariants=inv, fitting=rec))
         if not invs:
-            return None
+            return None, fresh
         verdict = _merge_verdicts(verdicts, invs)
         return _record(ell, "cyclic-cubic", p, verdict, started,
-                       tuple(sorted(invs)))
+                       tuple(sorted(invs))), fresh
     except (StabilizationFailure, PrecisionTooLow, CapitulaError) as exc:
-        return _error_record(ell, "cyclic-cubic", p, exc, started)
+        return _error_record(ell, "cyclic-cubic", p, exc, started), fresh
 
 
-def _run_scan(worker, tasks, jobs):
+def _run_scan(worker, tasks, jobs, cache):
+    """The survey records of the tasks, in task order.  Workers only
+    compute; this process appends each task's new Fitting records to the
+    cache as its result arrives, so no two processes write one table and an
+    interrupted scan keeps its finished work."""
+    records = []
+
+    def collect(results):
+        for record, fresh in results:
+            _cache_append(cache, fresh)
+            if record is not None:
+                records.append(record)
+
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(worker, tasks, chunksize=4))
+            collect(ex.map(worker, tasks, chunksize=4))
     else:
-        results = [worker(t) for t in tasks]
-    return [r for r in results if r is not None]
+        collect(map(worker, tasks))
+    return records
 
 
 def scan_quadratic(p, residue, modulus, ell_max, jobs=1, cache=None):
@@ -213,10 +233,10 @@ def scan_quadratic(p, residue, modulus, ell_max, jobs=1, cache=None):
     real quadratic field Q(sqrt(ell)) has a nontrivial p-class part.  The
     cache table is read once, and each task carries its own record."""
     table = _cache_load(cache, p, 2)
-    tasks = [(ell, p, cache, table.get(ell))
+    tasks = [(ell, p, table.get(ell))
              for ell in range(residue, ell_max, modulus)
              if ell > 4 and is_prime(ell)]
-    return _run_scan(_scan_quadratic_one, tasks, jobs)
+    return _run_scan(_scan_quadratic_one, tasks, jobs, cache)
 
 
 def scan_cubic(p, ell_max, jobs=1, cache=None):
@@ -227,9 +247,9 @@ def scan_cubic(p, ell_max, jobs=1, cache=None):
     # p-adic eigenspaces, and the class part is their direct sum
     chi_ids = (1, 2) if p % 3 == 1 else (1,)
     tables = {cid: _cache_load(cache, p, 3, cid) for cid in chi_ids}
-    tasks = [(ell, p, cache, {cid: t.get(ell) for cid, t in tables.items()})
+    tasks = [(ell, p, {cid: t.get(ell) for cid, t in tables.items()})
              for ell in range(7, ell_max, 3) if is_prime(ell)]
-    return _run_scan(_scan_cubic_one, tasks, jobs)
+    return _run_scan(_scan_cubic_one, tasks, jobs, cache)
 
 
 def survey_imaginary(bound=100):
@@ -369,10 +389,12 @@ def main(argv=None, out=None):
         cls, order = quadforms.visible_class(args.disc, args.d1)
         out.write(f"class=({cls.a},{cls.b},{cls.c}) order={order}\n")
     elif args.command == "fitting":
-        rec = _fitting(args.ell, args.p, args.chi, cache,
+        fresh = []
+        rec = _fitting(args.ell, args.p, args.chi,
                        _cache_load(cache, args.p, args.chi,
                                    args.chi_id).get(args.ell),
-                       args.chi_id)
+                       fresh, args.chi_id)
+        _cache_append(cache, fresh)
         out.write(cycunits.table_line(rec))
     elif args.command == "capitulation":
         field = cr.quadratic_real_field(args.ell)
@@ -381,8 +403,10 @@ def main(argv=None, out=None):
         try:
             verdict = cr.classify(field, args.p, class_invariants=inv)
         except InsufficientData:
-            rec = _fitting(args.ell, args.p, 2, cache,
-                           _cache_load(cache, args.p, 2).get(args.ell))
+            fresh = []
+            rec = _fitting(args.ell, args.p, 2,
+                           _cache_load(cache, args.p, 2).get(args.ell), fresh)
+            _cache_append(cache, fresh)
             verdict = cr.classify(field, args.p, class_invariants=inv,
                                   fitting=rec)
         out.write(verdict.to_json() + "\n")

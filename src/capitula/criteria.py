@@ -2,8 +2,8 @@
 
 Each decision rule is a pure function returning a small "fragment" dict
 (rule name, inputs, and what it certifies).  classify() applies the rules in
-a fixed order — no-potential, parity, Lemma-4 style exact kernels, imaginary
-bounds, and finally the eigenspace computation from a Fitting-ideal record —
+a fixed order — no-potential, parity, imaginary bounds, and finally the
+eigenspace computation from a Fitting-ideal record —
 and returns the strongest certified verdict together with the full
 certificate chain.  Undetermined is an honest output: the engine never
 guesses beyond certified rules; a handful of ad hoc resolutions live in an
@@ -219,14 +219,13 @@ def _cert(frag):
     return (frag["rule"], tuple(frag.get("inputs", ())))
 
 
-def classify(field, p, class_invariants=None, fitting=None,
-             class_invariants_L=None) -> CapitulationVerdict:
+def classify(field, p, class_invariants=None,
+             fitting=None) -> CapitulationVerdict:
     """Verdict for the p-part of the class group of `field` capitulating in
     its minimal cyclotomic field.  Rules are applied in a fixed order:
-    no-potential, parity, exact-kernel rules (when the target class part is
-    supplied),
-    imaginary bounds (+fixtures), then the eigenspace computation from a
-    Fitting-ideal record.  Exact eigenspace kernels win over intervals.
+    no-potential, parity, imaginary bounds (+fixtures), then the eigenspace
+    computation from a Fitting-ideal record.  Exact eigenspace kernels win
+    over intervals.
     """
     certs = []
     ring = ideal = None
@@ -267,30 +266,7 @@ def classify(field, p, class_invariants=None, fitting=None,
             certs.append(_cert(frag))
             return verdict(1, (), "none")
 
-    # 3. exact-kernel rules, when the class part of the target field is known
-    if class_invariants_L is not None:
-        try:
-            frag = lemma4_i(inv, class_invariants_L, p, 1, True)
-            certs.append(_cert(frag))
-            return verdict(
-                frag["kernel_order"], frag["kernel_invariants"],
-                "full" if frag["kernel_order"] == order
-                else ("none" if frag["kernel_order"] == 1 else "partial"),
-            )
-        except HypothesisNotMet:
-            pass
-        try:
-            invL = tuple(class_invariants_L)
-            if len(inv) <= 1 and len(invL) == 1:
-                f = _p_log(order, p)
-                k = _p_log(prod(invL), p)
-                frag = lemma4_ii(f, k, p)
-                certs.append(_cert(frag))
-                return verdict(1, (), "none")
-        except HypothesisNotMet:
-            pass
-
-    # 4. imaginary quadratic bounds and fixtures
+    # 3. imaginary quadratic bounds and fixtures
     if field.kind == "quadratic-imaginary" and p in (2, "all"):
         frag = imaginary_bound(field, inv)
         certs.append(_cert(frag))
@@ -305,7 +281,7 @@ def classify(field, p, class_invariants=None, fitting=None,
         return verdict(frag["kernel_order"], frag["kernel_invariants"],
                        "undetermined")
 
-    # 5. eigenspace computation (exact kernel)
+    # 4. eigenspace computation (exact kernel)
     if fitting is not None:
         module = capitulation_module(ring, ideal)
         kernel = module.order
@@ -328,10 +304,3 @@ def classify(field, p, class_invariants=None, fitting=None,
     raise InsufficientData(
         "no rule certified a verdict and no Fitting record supplied"
     )
-
-
-def _p_log(x, p):
-    k = p_valuation(x, p)
-    if x != p**k:
-        raise HypothesisNotMet("class part is not a p-group")
-    return k

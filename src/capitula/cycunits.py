@@ -14,8 +14,8 @@ records carry a Monte-Carlo-stabilized provenance flag.
 
 import os
 import re
-from dataclasses import dataclass, field, replace
-from math import comb, gcd
+from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
@@ -94,45 +94,34 @@ def _aux_prime_stream(ell, p, n_prec):
             yield q
 
 
-class _QContext:
-    """Fixed choices and dlog tables for one auxiliary prime."""
+def _s_table(ell, p, N, q):
+    """s[a] = dlog_w of (rho^a - rho^-a)/(rho - rho^-1) mod p^N for
+    1 <= a <= (l-1)/2, w the least primitive root mod q, rho = w^((q-1)/l).
 
-    def __init__(self, ell, p, n_prec, q):
-        if (q - 1) % (ell * p**n_prec):
-            raise BadAuxPrime(f"q = {q} is not 1 mod ell*p^{n_prec}")
-        self.ell, self.p, self.n_prec, self.q = ell, p, n_prec, q
-        self.w = primitive_root(q)
-        self.rho = pow(self.w, (q - 1) // ell, q)
-        pe = p**n_prec
-        g = pow(self.w, (q - 1) // pe, q)
-        table = {}
-        e = 1
-        for i in range(pe):
-            table[e] = i
-            e = e * g % q
-        self._table = table
-        self._exp = (q - 1) // pe
-
-    def dlog(self, v):
-        """dlog_w(v) mod p^n_prec."""
-        return self._table[pow(v, self._exp, self.q)]
-
-    def s_table(self):
-        """s[a] = dlog of (rho^a - rho^-a)/(rho - rho^-1) for 1 <= a <= (l-1)/2.
-
-        Well defined on a mod +-1 by the choice of q (for p = 2 the sign
-        contributes (q-1)/2 = 0 mod p^n_prec)."""
-        q, ell = self.q, self.ell
-        half = (ell - 1) // 2
-        rpow = [1] * ell
-        for i in range(1, ell):
-            rpow[i] = rpow[i - 1] * self.rho % q
-        den_inv = pow(rpow[1] - rpow[ell - 1], q - 2, q)
-        out = [0] * (half + 1)
-        for a in range(1, half + 1):
-            v = (rpow[a] - rpow[ell - a]) * den_inv % q
-            out[a] = self.dlog(v)
-        return out
+    Well defined on a mod +-1 by the choice of q (for p = 2 the sign
+    contributes (q-1)/2 = 0 mod p^N)."""
+    pe = p**N
+    if (q - 1) % (ell * pe):
+        raise BadAuxPrime(f"q = {q} is not 1 mod ell*p^{N}")
+    w = primitive_root(q)
+    exp = (q - 1) // pe
+    g = pow(w, exp, q)
+    dlog = {}
+    e = 1
+    for i in range(pe):
+        dlog[e] = i
+        e = e * g % q
+    rho = pow(w, (q - 1) // ell, q)
+    half = (ell - 1) // 2
+    rpow = [1] * ell
+    for i in range(1, ell):
+        rpow[i] = rpow[i - 1] * rho % q
+    den_inv = pow(rpow[1] - rpow[ell - 1], q - 2, q)
+    out = [0] * (half + 1)
+    for a in range(1, half + 1):
+        v = (rpow[a] - rpow[ell - a]) * den_inv % q
+        out[a] = dlog[pow(v, exp, q)]
+    return out
 
 
 def unit_image_mod_q(u: CyclotomicUnitSymbol, q, p, N):
@@ -143,7 +132,7 @@ def unit_image_mod_q(u: CyclotomicUnitSymbol, q, p, N):
     ell = u.ell
     if p == 2 and (q - 1) % (ell * 2 ** (N + 1)):
         raise BadAuxPrime(f"q = {q} leaves the sign of units visible at p=2")
-    s = np.array(_QContext(ell, p, N, q).s_table(), dtype=np.int64)
+    s = np.array(_s_table(ell, p, N, q), dtype=np.int64)
     half = (ell - 1) // 2
     g0 = primitive_root(ell)
     orbit = [1] * half  # b = g0^e mod ell
@@ -163,36 +152,36 @@ def unit_image_mod_q(u: CyclotomicUnitSymbol, q, p, N):
     return t[-np.arange(half) % half] % p**N
 
 
-def _chi_projection(ring, vec, chi_id, D, Dinv, Pinv):
-    """Project a group-algebra vector (index e over sigma powers) into the
-    eigenring: sigma^e -> chi(delta0)^(s*y) (1+T)^(s*x) with s the pinned
-    sign, sigma^e = pi0^x delta0^y."""
-    pn, f, m = ring.pn, ring.f, ring.chi_order
-    mod = ring.mod
-    half = len(vec)
-    c = np.zeros((pn, m), dtype=np.int64)
-    for e in range(half):
-        t = int(vec[e])
-        if not t:
-            continue
-        es = (_SIGMA_SIGN * e) % half
-        x = (es * Dinv) % pn
-        y = (es * Pinv) % D
-        zi = (_CHI_SIGN * chi_id * y) % m
-        c[x, zi] = (c[x, zi] + t) % mod
-    # expand (1+T)^x via binomials, then zeta powers in the O-basis
+def _chi_projector(ring, half, chi_id):
+    """The projection of group-algebra vectors (index e over the half powers
+    of sigma) into the eigenring, as a function of the vector: sigma^e ->
+    chi(delta0)^(s*y) (1+T)^(s*x) with s the pinned sign, sigma^e =
+    pi0^x delta0^y.  It depends only on l, the ring and chi_id, so a
+    conductor builds it once for all its auxiliary primes."""
+    pn, m, mod = ring.pn, ring.chi_order, ring.mod
+    D = half // pn
     check_int64_sums(mod, max(pn, m))
-    B = np.zeros((pn, pn), dtype=np.int64)
-    for x in range(pn):
-        for k in range(x + 1):
-            B[x, k] = comb(x, k) % mod
-    zpow = np.zeros((m, f), dtype=np.int64)
+    # the (x, zeta power) cell of each sigma^e in the pn x m grid
+    es = _SIGMA_SIGN * np.arange(half, dtype=np.int64) % half
+    x = es * pow(D, -1, pn) % pn
+    y = es * pow(pn, -1, D) % D
+    cell = x * m + _CHI_SIGN * chi_id * y % m
+    # expand (1+T)^x via binomials, then zeta powers in the O-basis
+    binomials_t = ring.binomials()[:pn, :pn].T
+    zpow = np.zeros((m, ring.f), dtype=np.int64)
     cur = ring.one()
     for zi in range(m):
         zpow[zi] = cur.arr[0]
         cur = cur.mul_zeta()
-    arr = (B.T @ c % mod) @ zpow % mod
-    return ring.from_vector(arr.reshape(-1))
+
+    def project(vec):
+        c = np.zeros(pn * m, dtype=np.int64)
+        np.add.at(c, cell, vec)
+        c = c.reshape(pn, m) % mod
+        arr = (binomials_t @ c % mod) @ zpow % mod
+        return ring.from_vector(arr.reshape(-1))
+
+    return project
 
 
 @dataclass(frozen=True)
@@ -255,86 +244,77 @@ def _extract_generators(R, howell_rows, pivots, scalar_val):
     return tuple(out), current
 
 
-def compute_fitting_ideal(ell, p, chi_order, chi_id=1, N=None,
-                          budget=60) -> FittingIdealRecord:
+_MAX_BATCHES = 60  # batches of 4 auxiliary primes before giving up
+
+
+def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
+                          N=None) -> FittingIdealRecord:
     """Sample the ideal I with B(chi^-1) = O[[T]]/(I, p^N) for the degree-
     chi_order character of conductor ell.
 
-    budget counts batches of 4 auxiliary primes; the run succeeds once the
-    Howell form is unchanged for 5 consecutive batches (or the ideal becomes
-    the unit ideal, which is definitive since sampling only grows it).
+    The run succeeds once the Howell form is unchanged for 5 consecutive
+    batches of 4 auxiliary primes (or the ideal becomes the unit ideal,
+    which is definitive since sampling only grows it).  Without N, the
+    precision starts at n + 3 and doubles, up to the cap, while the
+    certified scalar exceeds it.
     """
     if not is_prime(ell):
         raise ValueError(f"{ell} must be prime")
     if gcd(chi_order, p) != 1:
         raise ChiOrderNotCoprime(f"chi order {chi_order} not coprime to {p}")
-    if ((ell - 1) // 2) % chi_order:
+    half = (ell - 1) // 2
+    if half % chi_order:
         raise ValueError("chi_order must divide (ell-1)/2")
     n = tower_exponent(ell, p)
     if N is None:
-        # retry with doubled precision on PrecisionTooLow, up to the cap
-        N = n + 3
-        cap = _max_precision(p)
-        while True:
-            try:
-                return compute_fitting_ideal(ell, p, chi_order, chi_id, N,
-                                             budget)
-            except PrecisionTooLow:
-                if 2 * N > cap:
-                    raise
-                N = 2 * N
-    n_work = max(N, min(N + 2, _max_precision(p)))
-    R_work = ring_make(p, n, chi_order, n_work)
-    R_out = ring_make(p, n, chi_order, N) if n_work != N else R_work
-    D = ((ell - 1) // 2) // p**n
-    if D % chi_order:
-        raise ValueError("chi_order must divide the prime-to-p part")
-    Dinv = pow(D, -1, p**n) if n else 0
-    Pinv = pow(p**n, -1, D) if D > 1 else 0
+        precisions = [n + 3]
+        while 2 * precisions[-1] <= _max_precision(p):
+            precisions.append(2 * precisions[-1])
+    else:
+        precisions = [N]
     u = CyclotomicUnitSymbol.generator(ell)
-
-    stream = _aux_prime_stream(ell, p, n_work)
-    rows = np.zeros((0, R_work.rank), dtype=np.int64)
-    H = None
-    piv = []
-    stable = 0
-    used = []
-    lam_new = []
-    for batch in range(budget):
-        lam_new.clear()
-        for _ in range(4):
-            q = next(stream)
-            used.append(q)
-            vec = unit_image_mod_q(u, q, p, n_work)
-            lam_new.append(
-                _chi_projection(R_work, vec, chi_id, D, Dinv, Pinv)
-            )
-        new_rows = []
-        for lam in lam_new:
-            new_rows.extend(_orbit_rows(lam))
-        rows = np.vstack([rows, np.array(new_rows, dtype=np.int64)])
-        H_new, piv_new = howell_array(rows, p, n_work)
-        rows = H_new  # accumulate compactly
-        if H is not None and H.shape == H_new.shape and (H == H_new).all():
-            stable += 1
+    for N in precisions:
+        n_work = max(N, min(N + 2, _max_precision(p)))
+        R_work = ring_make(p, n, chi_order, n_work)
+        project = _chi_projector(R_work, half, chi_id)
+        stream = _aux_prime_stream(ell, p, n_work)
+        rows = np.zeros((0, R_work.rank), dtype=np.int64)
+        H = None
+        stable = 0
+        used = []
+        for _ in range(_MAX_BATCHES):
+            new_rows = []
+            for _ in range(4):
+                q = next(stream)
+                used.append(q)
+                lam = project(unit_image_mod_q(u, q, p, n_work))
+                new_rows.extend(_orbit_rows(lam))
+            rows = np.vstack([rows, np.array(new_rows, dtype=np.int64)])
+            H_new, piv = howell_array(rows, p, n_work)
+            rows = H_new  # accumulate compactly
+            if H is not None and H.shape == H_new.shape and (H == H_new).all():
+                stable += 1
+            else:
+                stable = 0
+            H = H_new
+            unit = any(c == 0 and k == 0 for _, c, k in piv)
+            if stable >= 5 or unit:
+                break
         else:
-            stable = 0
-        H, piv = H_new, piv_new
-        unit = any(c == 0 and k == 0 for _, c, k in piv)
-        if stable >= 5 or (unit and batch >= 0):
+            raise StabilizationFailure(
+                f"ideal not stabilized within {_MAX_BATCHES} batches for "
+                f"ell={ell}"
+            )
+        # certified p-power scalar level, read off the working-precision
+        # span (at precision N the scalar p^N itself reduces to zero)
+        scalar_val = _min_scalar_level(H, piv, R_work)
+        if scalar_val is not None and scalar_val <= N:
             break
     else:
-        raise StabilizationFailure(
-            f"ideal not stabilized within {budget} batches for ell={ell}"
-        )
-
-    # certified p-power scalar level, read off the working-precision span
-    # (at precision N the scalar p^N itself reduces to zero)
-    scalar_val = _min_scalar_level(H, piv, R_work)
-    if scalar_val is None or scalar_val > N:
         raise PrecisionTooLow(
             f"smallest certified scalar exceeds requested precision p^{N}"
         )
+    R_out = ring_make(p, n, chi_order, N)
     H_out, piv_out = howell_array(H % R_out.mod, p, N)
     gens, _ = _extract_generators(R_out, H_out, piv_out, scalar_val)
     choices = (

@@ -10,13 +10,14 @@ membership questions reduce to exact linear algebra over Z/p^N.
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, gcd, prod
+from functools import cached_property, lru_cache
+from math import gcd, prod
 
 import numpy as np
 
 from .arith import check_int64_sums, howell_array, howell_contains, \
-    is_prime, left_kernel, p_valuation, quotient_invariants, smith_diagonalize
+    howell_reduce, is_prime, left_kernel, p_valuation, quotient_invariants, \
+    smith_diagonalize
 from .errors import ChiOrderNotCoprime, NotPrime, ParseError, PrecisionTooLow, \
     RingMismatch
 
@@ -258,12 +259,7 @@ class EigenRing:
             cur = _poly_divmod(_poly_mul(cur, [0, 1], self.mod), list(g), self.mod)[1]
         xpow.setflags(write=False)
         self.xpow = xpow
-        # T^(pn) = -sum_{k=1}^{pn-1} C(pn,k) T^k  (constant term vanishes)
-        tred = np.zeros(self.pn, dtype=np.int64)
-        for k in range(1, self.pn):
-            tred[k] = (-comb(self.pn, k)) % self.mod
-        tred.setflags(write=False)
-        self.tred = tred
+        self._binomials = None
         self._mul_t_matrix = None
         self._zeta = None
 
@@ -315,31 +311,50 @@ class EigenRing:
         arr = np.asarray(vec, dtype=np.int64).reshape(self.pn, self.f) % self.mod
         return RingElement(self, arr)
 
-    def one_plus_t_power(self, e):
-        """(1+T)^e for 0 <= e < p^n, by exact binomials (no reduction needed)."""
-        e %= self.pn
+    def _scalar_poly(self, coeffs):
+        """The element sum_j coeffs[j] T^j with coefficients in Z."""
         arr = np.zeros((self.pn, self.f), dtype=np.int64)
-        for k in range(e + 1):
-            arr[k, 0] = comb(e, k) % self.mod
+        arr[:, 0] = coeffs
         return RingElement(self, arr)
+
+    def one_plus_t_power(self, e):
+        """(1+T)^e for 0 <= e < p^n, by binomials (no reduction needed)."""
+        return self._scalar_poly(self.binomials()[e % self.pn, :self.pn])
 
     def omega(self, m):
         """omega_m(T) = (1+T)^(p^m) - 1 as a ring element, for m <= n."""
         pm = self.p**m
-        arr = np.zeros((self.pn, self.f), dtype=np.int64)
         if pm == self.pn:
-            return RingElement(self, arr)  # omega_n = 0 in R
-        for k in range(1, pm + 1):
-            arr[k, 0] = comb(pm, k) % self.mod
-        return RingElement(self, arr)
+            return self.zero()  # omega_n = 0 in R
+        coeffs = self.binomials()[pm, :self.pn].copy()
+        coeffs[0] = 0
+        return self._scalar_poly(coeffs)
 
     def omega_over_t(self):
         """omega_n(T)/T = sum_{k=1}^{p^n} C(p^n,k) T^(k-1); top term reduces
         to nothing extra since the T^(p^n) coefficient is 1 and k-1 < p^n."""
-        arr = np.zeros((self.pn, self.f), dtype=np.int64)
-        for k in range(1, self.pn + 1):
-            arr[k - 1, 0] = comb(self.pn, k) % self.mod
-        return RingElement(self, arr)
+        return self._scalar_poly(self.binomials()[self.pn, 1:])
+
+    def binomials(self):
+        """(p^n+1) x (p^n+1) table of C(x, k) mod p^N (zero for k > x),
+        built by Pascal's rule on first use.  Read-only."""
+        if self._binomials is None:
+            B = np.zeros((self.pn + 1, self.pn + 1), dtype=np.int64)
+            B[:, 0] = 1
+            for x in range(1, self.pn + 1):
+                B[x, 1:] = (B[x - 1, 1:] + B[x - 1, :-1]) % self.mod
+            B.setflags(write=False)
+            self._binomials = B
+        return self._binomials
+
+    @cached_property
+    def tred(self):
+        """T^(p^n) = sum_k tred[k] T^k = -sum_{k=1}^{p^n-1} C(p^n,k) T^k
+        (the constant term vanishes).  Read-only."""
+        tred = -self.binomials()[self.pn, :self.pn] % self.mod
+        tred[0] = 0
+        tred.setflags(write=False)
+        return tred
 
     def mul_t_matrix(self):
         """rank x rank matrix M with (T*v)_flat = v_flat @ M."""
@@ -640,14 +655,8 @@ class RingIdeal:
         """Canonical residue of elt modulo the ideal."""
         if elt.ring != self.ring:
             raise RingMismatch("element not in the ideal's ring")
-        v = elt.flat().copy()
-        mod = self.ring.mod
-        p = self.ring.p
-        for r, c, k in self.pivots:
-            q = int(v[c]) // p**k
-            if q:
-                v = (v - q * self.howell[r]) % mod
-        return self.ring.from_vector(v)
+        return self.ring.from_vector(howell_reduce(
+            elt.flat(), self.howell, self.pivots, self.ring.p, self.ring.N))
 
 
 def _orbit_rows(elt):
@@ -672,7 +681,7 @@ def ring_make(p, n, chi_order, N) -> EigenRing:
     return EigenRing(p, n, chi_order, N)
 
 
-def ideal_make(R, gens, scalar_hint=None) -> RingIdeal:
+def ideal_make(R, gens) -> RingIdeal:
     """Ideal generated by gens; each may be a RingElement, an int, or a
     string in the element grammar.  Integer (and pure-integer string)
     generators certify that a p-power scalar lies in the ideal even when it
@@ -681,7 +690,7 @@ def ideal_make(R, gens, scalar_hint=None) -> RingIdeal:
     if not gens:
         raise ValueError("gens must be nonempty")
     elements = []
-    level = scalar_hint
+    level = None
     for g in gens:
         if isinstance(g, str):
             if re.fullmatch(r"\s*-?\d+\s*", g):

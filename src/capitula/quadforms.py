@@ -334,14 +334,9 @@ def class_group(d: int) -> FormClassGroup:
     h = len(elements)
     invariants = _abelian_invariants(elements, d, h)
     generators = _find_generators(elements, d, h, invariants)
-    s = len(factor(abs(d)).factors) if d % 4 == 1 else len(_disc_prime_factors(d))
     ident = principal_form(d)
     ambiguous = sum(1 for x in elements if compose(x, x) == ident)
     return FormClassGroup(d, h, invariants, generators, ambiguous, tuple(elements))
-
-
-def _disc_prime_factors(d):
-    return factor(abs(d)).primes()
 
 
 def p_part(g: FormClassGroup, p: int):

@@ -85,12 +85,13 @@ class TestFittingRecomputation:
 
 
 class TestQuadraticCrossCheck:
-    def test_all_primes_1_mod_12_below_3000(self):
+    def test_all_primes_1_mod_12_below_3000(self, fitting_2917):
         mismatches = []
         for ell in range(13, 3000, 12):
             if not is_prime(ell):
                 continue
-            rec = cycunits.compute_fitting_ideal(ell, 3, 2)
+            rec = (fitting_2917 if ell == 2917
+                   else cycunits.compute_fitting_ideal(ell, 3, 2))
             R = rec.ring()
             order = iwasawa.eigenspace_class_order(R, rec.ideal(R))
             part = 1
@@ -106,8 +107,8 @@ class TestQuadraticCrossCheck:
 
 
 @pytest.fixture(scope="module")
-def quad_records():
-    return scan_quadratic(3, 1, 12, 10000)
+def quad_records(quad3_cache):
+    return cli.scan_quadratic(3, 1, 12, 10000, cache=CACHE or quad3_cache)
 
 
 @pytest.fixture(scope="module")
@@ -151,13 +152,12 @@ class TestQuadraticSurvey:
         assert len(recs) == 31
         assert all(r.status == "no-potential" for r in recs)
 
-    def test_large_conductor_114889(self):
+    def test_large_conductor_114889(self, fitting_114889):
         field = criteria.quadratic_real_field(114889)
         part = tuple(quadforms.p_part(quadforms.class_group(114889), 3))
         assert part == (3, 3)
-        rec = cycunits.compute_fitting_ideal(114889, 3, 2)
         verdict = criteria.classify(field, 3, class_invariants=part,
-                                    fitting=rec)
+                                    fitting=fitting_114889)
         assert verdict.kernel_order == 3
         assert verdict.status == "partial"
 

@@ -124,6 +124,28 @@ class TestScans:
         strip = lambda rs: [r.row()[:7] + r.row()[8:] for r in rs]
         assert strip(a) == strip(b)
 
+    def test_only_the_parent_writes_the_cache(self, tmp_path, monkeypatch):
+        # fork-started workers inherit this patch: a worker that appends
+        # to a table fails its task
+        parent = os.getpid()
+        append = cli._cache_append
+
+        def parent_only(*args, **kwargs):
+            if os.getpid() != parent:
+                raise AssertionError("a scan worker wrote the cache")
+            return append(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_cache_append", parent_only)
+        tables = []
+        for jobs in (1, 2):
+            cache = str(tmp_path / f"jobs{jobs}")
+            cli.scan_quadratic(3, 1, 12, 1200, jobs=jobs, cache=cache)
+            with open(cli._cache_path(cache, 3, 2), encoding="utf-8") as fh:
+                tables.append(fh.read().splitlines())
+        assert tables[0] == tables[1]
+        assert [line.split()[0] for line in tables[0]] == [
+            "ell=229", "ell=733", "ell=1129"]
+
     def test_cache_resume(self, tmp_path):
         cache = str(tmp_path)
         a = cli.scan_quadratic(3, 1, 12, 1200, cache=cache)

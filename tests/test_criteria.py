@@ -9,11 +9,11 @@ from capitula import quadforms as qf
 from capitula.errors import HypothesisNotMet, InsufficientData
 
 
-def quad_verdict(ell, **kw):
-    rec = cu.compute_fitting_ideal(ell, 3, 2)
+def quad_verdict(ell, rec=None):
+    rec = rec or cu.compute_fitting_ideal(ell, 3, 2)
     inv = tuple(qf.p_part(qf.class_group(ell), 3))
     return cr.classify(cr.quadratic_real_field(ell), 3,
-                       class_invariants=inv, fitting=rec, **kw)
+                       class_invariants=inv, fitting=rec)
 
 
 def cert_names(v):
@@ -105,8 +105,8 @@ class TestClassifyQuadratic:
         assert (v.status, v.kernel_order) == ("partial", 3)
         assert "maximal_capitulation" in cert_names(v)
 
-    def test_114889_partial_not_maximal(self):
-        v = quad_verdict(114889)
+    def test_114889_partial_not_maximal(self, fitting_114889):
+        v = quad_verdict(114889, fitting_114889)
         assert (v.status, v.kernel_order) == ("partial", 3)
         assert v.kernel_invariants == (3,)
         assert "maximal_capitulation" not in cert_names(v)

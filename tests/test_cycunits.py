@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -8,12 +9,42 @@ from capitula import iwasawa as iw
 from capitula import quadforms as qf
 from capitula.arith import is_prime
 from capitula.errors import (BadAuxPrime, ChiOrderNotCoprime, Overflow,
-                             ParseError, RingMismatch)
+                             ParseError, PrecisionTooLow, RingMismatch)
 
 
 def aux_primes(ell, p, N, count):
     stream = cu._aux_prime_stream(ell, p, N)
     return [next(stream) for _ in range(count)]
+
+
+def projection_by_entries(ring, vec, chi_id):
+    """Reference chi-projection: sigma^e = pi0^x delta0^y goes to
+    chi(delta0)^(-y) (1+T)^x one entry at a time, with binomials from
+    math.comb."""
+    pn, f, m, mod = ring.pn, ring.f, ring.chi_order, ring.mod
+    half = len(vec)
+    D = half // pn
+    Dinv = pow(D, -1, pn) if pn > 1 else 0
+    Pinv = pow(pn, -1, D) if D > 1 else 0
+    c = np.zeros((pn, m), dtype=np.int64)
+    for e in range(half):
+        t = int(vec[e])
+        if not t:
+            continue
+        x = (e * Dinv) % pn
+        zi = (-chi_id * ((e * Pinv) % D)) % m
+        c[x, zi] = (c[x, zi] + t) % mod
+    B = np.zeros((pn, pn), dtype=np.int64)
+    for x in range(pn):
+        for k in range(x + 1):
+            B[x, k] = math.comb(x, k) % mod
+    zpow = np.zeros((m, f), dtype=np.int64)
+    cur = ring.one()
+    for zi in range(m):
+        zpow[zi] = cur.arr[0]
+        cur = cur.mul_zeta()
+    arr = (B.T @ c % mod) @ zpow % mod
+    return ring.from_vector(arr.reshape(-1))
 
 
 class TestSymbols:
@@ -93,12 +124,27 @@ class TestUnitImage:
         # p^N = 2^30 and D = 1: the binomial expansion sums p^n products,
         # which fit in int64 for p^n = 4 and overflow it for p^n = 8
         R = iw.ring_make(2, 2, 1, 30)
-        ones = np.ones(8, dtype=np.int64)
+        ones = np.ones(4, dtype=np.int64)
         # sigma^e -> (1+T)^e for the trivial character
         want = sum((R.one_plus_t_power(e) for e in range(4)), R.zero())
-        assert cu._chi_projection(R, ones[:4], 1, 1, 1, 0) == want
+        assert cu._chi_projector(R, 4, 1)(ones) == want
         with pytest.raises(Overflow):
-            cu._chi_projection(iw.ring_make(2, 3, 1, 30), ones, 1, 1, 1, 0)
+            cu._chi_projector(iw.ring_make(2, 3, 1, 30), 8, 1)
+
+    @pytest.mark.parametrize("ell, p, chi_order, chi_id", [
+        (2857, 3, 2, 1), (257, 2, 3, 1), (7681, 2, 3, 2),
+        (211, 7, 3, 1), (211, 7, 3, 2)])
+    def test_projection_matches_entry_loop(self, ell, p, chi_order, chi_id):
+        # the unit images of the first aux primes at the working precision
+        n = cu.tower_exponent(ell, p)
+        n_work = min(n + 5, cu._max_precision(p))
+        R = iw.ring_make(p, n, chi_order, n_work)
+        half = (ell - 1) // 2
+        project = cu._chi_projector(R, half, chi_id)
+        u = cu.CyclotomicUnitSymbol.generator(ell)
+        for q in aux_primes(ell, p, n_work, 4):
+            vec = cu.unit_image_mod_q(u, q, p, n_work)
+            assert project(vec) == projection_by_entries(R, vec, chi_id)
 
     def test_image_is_deterministic(self):
         u = cu.CyclotomicUnitSymbol.generator(13)
@@ -141,7 +187,7 @@ class TestComputeFittingIdeal:
             new[:, 0] = (arr[:, 0] - arr[:, 1]) % R.mod
             new[:, 1] = (-arr[:, 1]) % R.mod
             conj.append(iw.RingElement(R, new))
-        assert rec2.ideal() == iw.ideal_make(R, conj, scalar_hint=3)
+        assert rec2.ideal() == iw.ideal_make(R, conj)
 
     def test_determinism(self):
         a = cu.compute_fitting_ideal(229, 3, 2, N=3)
@@ -152,6 +198,24 @@ class TestComputeFittingIdeal:
         rec = cu.compute_fitting_ideal(13, 3, 2)
         assert rec.N == rec.n + 3
         assert rec.n == cu.tower_exponent(13, 3) == 1
+
+    def test_precision_doubles_until_certified(self, monkeypatch):
+        # no scalar is certified below working precision 10: N = 4 fails,
+        # its double N = 8 succeeds; a requested N is never doubled
+        certify = cu._min_scalar_level
+        tried = []
+
+        def late(H, piv, R):
+            tried.append(R.N)
+            return certify(H, piv, R) if R.N >= 10 else None
+
+        monkeypatch.setattr(cu, "_min_scalar_level", late)
+        rec = cu.compute_fitting_ideal(13, 3, 2)
+        assert tried == [6, 10] and rec.N == 8
+        with pytest.raises(PrecisionTooLow):
+            cu.compute_fitting_ideal(13, 3, 2, N=4)
+        monkeypatch.setattr(cu, "_min_scalar_level", certify)
+        assert rec == cu.compute_fitting_ideal(13, 3, 2, N=8)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):

@@ -62,6 +62,18 @@ class TestRingMake:
         with pytest.raises(ValueError):
             R.tred[1] = 0
 
+    def test_binomials_built_on_first_use(self):
+        # a fresh ring, not the shared one other tests may have used
+        R = iw.EigenRing(3, 3, 2, 5)
+        assert R._binomials is None
+        B = R.binomials()
+        assert B is R.binomials()
+        assert B.shape == (28, 28)
+        assert all(B[x, k] == math.comb(x, k) % 3**5
+                   for x in range(28) for k in range(28))
+        with pytest.raises(ValueError):
+            B[1, 1] = 0
+
     def test_split_zeta(self):
         # p = 7 is 1 mod 3: zeta_3 lives in Z_7 itself
         R = iw.ring_make(7, 1, 3, 2)
