@@ -387,22 +387,20 @@ def check_int64_sums(mod, dim):
         raise Overflow(f"{dim} products of residues mod {mod} overflow int64")
 
 
-def smith_diagonalize(A, p, N, want_u=True, want_v=False):
+def smith_diagonalize(A, p, N, want_u=True):
     """Diagonalize A over Z/p^N by invertible row/column operations.
 
-    Returns (diag, U, V, Vinv) with U A V = diag(p^a_i) (mod p^N); any of
-    U, V, Vinv not requested is None.  diag lists the valuations a_i.
+    Returns (diag, U): for some invertible V, U A V = diag(p^a_i) (mod p^N),
+    so row i of U A is p^a_i times a row with a unit entry, and the rows of
+    U A past len(diag) are zero.  U is None unless wanted.  diag lists the
+    valuations a_i.
     """
     mod = p**N
     if mod >= 1 << 31:
         raise ValueError("modulus too large for int64 arithmetic")
     M = np.array(A, dtype=np.int64) % mod
     nr, nc = M.shape
-    if want_v:
-        check_int64_sums(mod, nc)  # c2 @ Vinv
     U = np.eye(nr, dtype=np.int64) if want_u else None
-    V = np.eye(nc, dtype=np.int64) if want_v else None
-    Vinv = np.eye(nc, dtype=np.int64) if want_v else None
     diag = []
     t = 0
     while t < min(nr, nc):
@@ -420,9 +418,6 @@ def smith_diagonalize(A, p, N, want_u=True, want_v=False):
                 U[[t, i]] = U[[i, t]]
         if j != t:
             M[:, [t, j]] = M[:, [j, t]]
-            if want_v:
-                V[:, [t, j]] = V[:, [j, t]]
-                Vinv[[t, j]] = Vinv[[j, t]]
         pk = p**k
         unit = int(M[t, t]) // pk
         inv = pow(unit, -1, mod)
@@ -437,12 +432,9 @@ def smith_diagonalize(A, p, N, want_u=True, want_v=False):
         c2 = M[t] // pk
         c2[t] = 0
         M = (M - np.outer(M[:, t], c2)) % mod
-        if want_v:
-            V = (V - np.outer(V[:, t], c2)) % mod
-            Vinv[t] = (Vinv[t] + c2 @ Vinv) % mod
         diag.append(k)
         t += 1
-    return diag, U, V, Vinv
+    return diag, U
 
 
 def left_kernel(A, p, N):
@@ -452,7 +444,7 @@ def left_kernel(A, p, N):
     nr = A.shape[0]
     if nr == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    diag, U, _, _ = smith_diagonalize(A, p, N, want_u=True)
+    diag, U = smith_diagonalize(A, p, N)
     gens = []
     for i, a in enumerate(diag):
         if a > 0:
@@ -470,6 +462,6 @@ def quotient_invariants(A, p, N):
     Returned ascending, trivial factors dropped."""
     A = np.asarray(A, dtype=np.int64)
     nc = A.shape[1]
-    diag, _, _, _ = smith_diagonalize(A, p, N, want_u=False)
+    diag, _ = smith_diagonalize(A, p, N, want_u=False)
     exps = list(diag) + [N] * (nc - len(diag))
     return sorted(p**a for a in exps if a > 0)

@@ -130,6 +130,17 @@ def _fitting(ell, p, chi_order, cached, fresh, chi_id=1):
     return rec
 
 
+def _fitting_cached(cache_dir, ell, p, chi_order, chi_id=1):
+    """The Fitting record of ell from the cache table, or else computed and
+    appended to it: the one cache path of the single-conductor commands."""
+    fresh = []
+    rec = _fitting(ell, p, chi_order,
+                   _cache_load(cache_dir, p, chi_order, chi_id).get(ell),
+                   fresh, chi_id)
+    _cache_append(cache_dir, fresh)
+    return rec
+
+
 # ---------------------------------------------------------------------------
 # scans
 
@@ -389,12 +400,7 @@ def main(argv=None, out=None):
         cls, order = quadforms.visible_class(args.disc, args.d1)
         out.write(f"class=({cls.a},{cls.b},{cls.c}) order={order}\n")
     elif args.command == "fitting":
-        fresh = []
-        rec = _fitting(args.ell, args.p, args.chi,
-                       _cache_load(cache, args.p, args.chi,
-                                   args.chi_id).get(args.ell),
-                       fresh, args.chi_id)
-        _cache_append(cache, fresh)
+        rec = _fitting_cached(cache, args.ell, args.p, args.chi, args.chi_id)
         out.write(cycunits.table_line(rec))
     elif args.command == "capitulation":
         field = cr.quadratic_real_field(args.ell)
@@ -403,10 +409,7 @@ def main(argv=None, out=None):
         try:
             verdict = cr.classify(field, args.p, class_invariants=inv)
         except InsufficientData:
-            fresh = []
-            rec = _fitting(args.ell, args.p, 2,
-                           _cache_load(cache, args.p, 2).get(args.ell), fresh)
-            _cache_append(cache, fresh)
+            rec = _fitting_cached(cache, args.ell, args.p, 2)
             verdict = cr.classify(field, args.p, class_invariants=inv,
                                   fitting=rec)
         out.write(verdict.to_json() + "\n")
@@ -431,9 +434,7 @@ def main(argv=None, out=None):
         records = cycunits.ingest_table(args.file)
         out.write(f"ingested {len(records)} records\n")
     elif args.command == "export":
-        cached = _cache_load(cache, args.p, args.chi, args.chi_id)
-        rec = cached.get(args.ell) or cycunits.compute_fitting_ideal(
-            args.ell, args.p, args.chi, chi_id=args.chi_id)
+        rec = _fitting_cached(cache, args.ell, args.p, args.chi, args.chi_id)
         cycunits.export_table([rec], args.file)
         out.write(f"exported 1 record to {args.file}\n")
     return 0

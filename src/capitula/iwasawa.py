@@ -15,9 +15,8 @@ from math import gcd, prod
 
 import numpy as np
 
-from .arith import check_int64_sums, howell_array, howell_contains, \
-    howell_reduce, is_prime, left_kernel, p_valuation, quotient_invariants, \
-    smith_diagonalize
+from .arith import howell_array, howell_contains, howell_reduce, is_prime, \
+    left_kernel, p_valuation, quotient_invariants
 from .errors import ChiOrderNotCoprime, NotPrime, ParseError, PrecisionTooLow, \
     RingMismatch
 
@@ -260,7 +259,6 @@ class EigenRing:
         xpow.setflags(write=False)
         self.xpow = xpow
         self._binomials = None
-        self._mul_t_matrix = None
         self._zeta = None
 
     def __eq__(self, other):
@@ -290,7 +288,7 @@ class EigenRing:
         return RingElement(self, arr)
 
     def T(self):
-        return self.monomial(0, 1)
+        return self.one().mul_t()  # omega_0 = T, so T = 0 when n = 0
 
     def zeta(self):
         if self._zeta is None:
@@ -355,23 +353,6 @@ class EigenRing:
         tred[0] = 0
         tred.setflags(write=False)
         return tred
-
-    def mul_t_matrix(self):
-        """rank x rank matrix M with (T*v)_flat = v_flat @ M."""
-        if self._mul_t_matrix is None:
-            r = self.rank
-            M = np.zeros((r, r), dtype=np.int64)
-            for i in range(self.f):
-                for j in range(self.pn):
-                    src = j * self.f + i
-                    if j + 1 < self.pn:
-                        M[src, (j + 1) * self.f + i] = 1
-                    else:
-                        for k in range(1, self.pn):
-                            M[src, k * self.f + i] = self.tred[k]
-            self._mul_t_matrix = M
-            M.setflags(write=False)
-        return self._mul_t_matrix
 
 
 class RingElement:
@@ -735,26 +716,32 @@ def _require_precision(I):
         )
 
 
-def _t_span_rows(R):
-    """Unit rows spanning the ideal (T) as a Z/p^N module."""
-    rows = np.zeros((R.f * (R.pn - 1), R.rank), dtype=np.int64)
-    k = 0
-    for j in range(1, R.pn):
-        for i in range(R.f):
-            rows[k, j * R.f + i] = 1
-            k += 1
-    return rows
+def _quotient(R, I):
+    """Q = R/I presented from the Howell form of I.  A unit-pivot row is zero
+    in every other unit-pivot column, so it only eliminates its own
+    coordinate: Q = (Z/p^N)^C / rel, with C the c columns without a unit
+    pivot and rel the non-unit-pivot rows restricted to C.  on_q(x) has the
+    rows x*e_j for j in C, reduced modulo I and restricted to C; with rel
+    they span xQ."""
+    p, N = R.p, R.N
+    free = np.ones(R.rank, dtype=bool)
+    free[[col for _, col, k in I.pivots if k == 0]] = False
+    C = np.flatnonzero(free)
+    rel = I.howell[[r for r, _, k in I.pivots if k > 0]][:, C]
+
+    def on_q(x):
+        rows = [howell_reduce((R.monomial(j % R.f, j // R.f) * x).flat(),
+                              I.howell, I.pivots, p, N)[C] for j in C]
+        return np.array(rows, dtype=np.int64).reshape(C.size, C.size)
+
+    return C.size, rel, on_q
 
 
 def eigenspace_class_invariants(R, I) -> tuple:
     """Cyclic invariants of R/(I + (T)) — the chi-part of the class group
-    as an abelian group."""
+    as an abelian group.  R/(T) = O/p^N is the constant coefficient."""
     _require_precision(I)
-    if R.pn == 1:
-        rows = I.howell
-    else:
-        rows = np.vstack([I.howell, _t_span_rows(R)])
-    return tuple(quotient_invariants(rows, R.p, R.N))
+    return tuple(quotient_invariants(I.howell[:, :R.f], R.p, R.N))
 
 
 def eigenspace_class_order(R, I) -> int:
@@ -763,16 +750,14 @@ def eigenspace_class_order(R, I) -> int:
 
 
 def level_class_order(R, I, m) -> int:
-    """|R/(I + (omega_m(T)))|; m = 0 recovers eigenspace_class_order."""
+    """|R/(I + (omega_m(T)))| = |Q/omega_m Q|; m = 0 recovers
+    eigenspace_class_order."""
     if not 0 <= m <= R.n:
         raise ValueError("level m out of range")
     _require_precision(I)
-    om = R.omega(m)
-    if om.is_zero():
-        rows = I.howell
-    else:
-        rows = np.vstack([I.howell, np.array(_orbit_rows(om), dtype=np.int64)])
-    return prod(quotient_invariants(rows, R.p, R.N))
+    _, rel, on_q = _quotient(R, I)
+    return prod(quotient_invariants(np.vstack([on_q(R.omega(m)), rel]),
+                                    R.p, R.N))
 
 
 def maximal_capitulation(R, I) -> bool:
@@ -789,28 +774,20 @@ class CapitulationModule:
 
 def _t_kernel_data(R, I):
     """The T-kernel K = {f : Tf in I} and W = I + (omega_n(T)/T) as Howell
-    forms, and the rows diag(p^a_i) spanning I, all in the nontrivial Smith
-    coordinates of Q = R/I, the sum of the Z/p^a_i with a_i > 0."""
-    p, N, mod = R.p, R.N, R.mod
-    diag, _, V, Vinv = smith_diagonalize(I.howell, p, N, want_u=False, want_v=True)
-    a = np.array(list(diag) + [N] * (R.rank - len(diag)), dtype=np.int64)
-    S = np.flatnonzero(a > 0)
-    if not S.size:
+    forms, and the relations rel of I, all in the presentation of Q = R/I
+    by _quotient."""
+    p, N = R.p, R.N
+    c, rel, on_q = _quotient(R, I)
+    if not c:
         empty = np.zeros((0, 0), dtype=np.int64)
         return empty, empty, empty
-    a = a[S]
-    lattice = np.diag(p**a) % mod
-    # multiplication by T on Q; scaling column j by p^(N - a_j) turns
-    # (x Tq)_j = 0 mod p^a_j into a kernel condition mod p^N
-    check_int64_sums(mod, R.rank)
-    Tq = (Vinv[S] @ R.mul_t_matrix() % mod) @ V[:, S] % mod
-    K, kpiv = howell_array(
-        np.vstack([left_kernel(Tq * p ** (N - a) % mod, p, N), lattice]), p, N)
-    w = np.array(_orbit_rows(R.omega_over_t()), dtype=np.int64) @ V[:, S] % mod
-    W, _ = howell_array(np.vstack([w, lattice]), p, N)
+    # x is in K exactly when x on_q(T) lies in the span of rel
+    kernel = left_kernel(np.vstack([on_q(R.T()), rel]), p, N)[:, :c]
+    K, kpiv = howell_array(np.vstack([kernel, rel]), p, N)
+    W, _ = howell_array(np.vstack([on_q(R.omega_over_t()), rel]), p, N)
     if not all(howell_contains(K, kpiv, row, p, N) for row in W):
         raise AssertionError("omega_n/T multiples must lie in the T-kernel")
-    return K, W, lattice
+    return K, W, rel
 
 
 def _relative_invariants(K, W, p, N):
@@ -824,8 +801,8 @@ def _relative_invariants(K, W, p, N):
 def t_kernel_order(R, I) -> int:
     """|{f : Tf in I}/I|; equals |R/(I+(T))| (kernel/cokernel duality)."""
     _require_precision(I)
-    K, _, lattice = _t_kernel_data(R, I)
-    return prod(_relative_invariants(K, lattice, R.p, R.N))
+    K, _, rel = _t_kernel_data(R, I)
+    return prod(_relative_invariants(K, rel, R.p, R.N))
 
 
 def capitulation_module(R, I) -> CapitulationModule:

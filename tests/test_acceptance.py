@@ -12,7 +12,7 @@ whole file runs in a few minutes, cold in well under an hour.
 
 import random
 import shutil
-from math import isqrt
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -254,6 +254,22 @@ class TestShippedTableReplay:
         by_ell = {r.ell: r for r in recs}
         assert by_ell[7351].class_part == (49,)
         assert by_ell[7351].status == "full"
+
+    def test_quotient_identities_on_every_record(self, cache):
+        tables = ((2, 3, 1), (3, 2, 1), (5, 2, 1), (7, 3, 1), (7, 3, 2))
+        count = 0
+        for p, chi_order, chi_id in tables:
+            for rec in cli._cache_load(cache, p, chi_order, chi_id).values():
+                R = rec.ring()
+                I = rec.ideal(R)
+                h = iwasawa.eigenspace_class_order(R, I)
+                assert iwasawa.t_kernel_order(R, I) == h
+                cm = iwasawa.capitulation_module(R, I)
+                assert h % cm.order == 0
+                assert cm.order == prod(cm.invariants)
+                assert iwasawa.maximal_capitulation(R, I) == (cm.order == h)
+                count += 1
+        assert count == 1882
 
 
 # ---------------------------------------------------------------------------

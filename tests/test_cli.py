@@ -87,6 +87,16 @@ class TestSubcommands:
         assert got.ideal(R) == want.ideal(R)
         assert want.generators == ("7",)
 
+    def test_export_fills_empty_cache(self, tmp_path):
+        # a computed record is stored, as by fitting and capitulation
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = tmp_path / "out.txt"
+        run_cli("--cache", str(cache), "export", "--file", str(path),
+                "--ell", "229", "--p", "3", "--chi", "2")
+        with open(cli._cache_path(str(cache), 3, 2), encoding="utf-8") as fh:
+            assert fh.read() == path.read_text(encoding="utf-8")
+
     def test_ingest_export_roundtrip(self, tmp_path):
         path = tmp_path / "t.txt"
         run_cli("export", "--file", str(path), "--ell", "2089",

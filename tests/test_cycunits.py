@@ -292,6 +292,15 @@ class TestTables:
         R = recs[0].ring()
         assert iw.eigenspace_class_order(R, recs[0].ideal()) == 3
 
+    def test_ingest_level_zero_line(self, tmp_path):
+        # n = 0: T = omega_0 vanishes in R, so T+1 generates the unit ideal
+        path = tmp_path / "t.txt"
+        path.write_text("ell=43 p=7 chi=3 n=0 prec=3 gens=[T+1,7]\n")
+        (rec,) = cu.ingest_table(path)
+        R = rec.ring()
+        assert rec.ideal(R) == iw.ideal_make(R, ["1"])
+        assert iw.eigenspace_class_order(R, rec.ideal(R)) == 1
+
     def test_ingest_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
