@@ -1,8 +1,9 @@
 """Exact integer and residue-ring arithmetic.
 
-Primality, factorization, discrete logs in prime fields, and canonical
-linear algebra (Howell / Smith forms) over Z/p^N.  Everything here is
-deterministic and pure; the rest of the library builds on it.
+Primality, factorization, discrete logs in the p-power subgroups of prime
+fields, and canonical linear algebra (Howell / Smith forms) over Z/p^N.
+Everything here is deterministic and pure; the rest of the library builds
+on it.
 """
 
 from dataclasses import dataclass
@@ -131,33 +132,6 @@ def factor(m: int) -> Factorization:
     return Factorization(value, tuple(sorted(fac.items())))
 
 
-def squarefree_part(m: int) -> int:
-    """The squarefree kernel of m (sign preserved)."""
-    sign = -1 if m < 0 else 1
-    out = sign
-    for p, e in factor(abs(m)).factors:
-        if e % 2:
-            out *= p
-    return out
-
-
-def jacobi(a: int, n: int) -> int:
-    if n <= 0 or n % 2 == 0:
-        raise ValueError("jacobi requires odd positive n")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
-
-
 def primitive_root(q: int) -> int:
     """Least primitive root modulo prime q."""
     if not is_prime(q):
@@ -173,99 +147,44 @@ def primitive_root(q: int) -> int:
         g += 1
 
 
-def _bsgs(g: int, y: int, q: int, order: int) -> int:
-    """x with g^x = y mod q, g of given order; raises if no solution."""
-    m = isqrt(order) + 1
+def p_power_dlogs(values, g, q, p, e):
+    """dlog_g of each value mod the prime q, as integers in [0, p^e), for g
+    of order p^e and values (residues in [0, q)) in the subgroup it
+    generates.
+
+    Pohlig-Hellman in base p^h (Pohlig and Hellman, IEEE Trans. Inf. Theory
+    24, 1978): x = x0 + p^h*x1 with both digits read from one table of the
+    p^h powers of gamma = g^(p^(e-h)): y^(p^(e-h)) = gamma^x0, and
+    y*g^-x0 = gamma^(x1*p^(2h-e)).  h = e, one lookup per value, while the
+    p^e-entry table is at most 8 entries per value; otherwise h = ceil(e/2)
+    bounds the table by p^h.  Raises NotAGenerator if g does not have order
+    p^e or a value lies outside <g>.
+    """
+    h = e if p**e <= 8 * len(values) else (e + 1) // 2
+    gamma = pow(g, p ** (e - h), q)
     table = {}
-    e = 1
-    for j in range(m):
-        table.setdefault(e, j)
-        e = e * g % q
-    factor_ = pow(g, (order - m) % order, q)  # g^-m
-    gamma = y % q
-    for i in range(m):
-        if gamma in table:
-            return (i * m + table[gamma]) % order
-        gamma = gamma * factor_ % q
-    raise NotAGenerator("no discrete log exists")
-
-
-def discrete_log(q: int, g: int, y: int) -> int:
-    """x in [0, q-1) with g^x = y mod q; g must generate F_q^x."""
-    if not is_prime(q):
-        raise NotPrime(f"{q} is not prime")
-    if y % q == 0:
-        raise ValueError("y must be a unit mod q")
-    n = q - 1
-    fac = factor(n).factors
-    for p, _ in fac:
-        if pow(g, n // p, q) == 1:
-            raise NotAGenerator(f"{g} does not generate F_{q}^x")
-    # Pohlig-Hellman over the factorization of q-1.
-    residues, moduli = [], []
-    for p, e in fac:
-        pe = p**e
-        gp = pow(g, n // pe, q)
-        yp = pow(y, n // pe, q)
-        x = _dlog_prime_power(gp, yp, q, p, e)
-        residues.append(x)
-        moduli.append(pe)
-    return _crt(residues, moduli)
-
-
-def _dlog_prime_power(g: int, y: int, q: int, p: int, e: int) -> int:
-    """Discrete log in the cyclic group of order p^e generated by g mod q."""
-    x = 0
-    gamma = pow(g, p ** (e - 1), q)  # order p
-    for k in range(e):
-        h = pow(pow(g, -x, q) * y % q, p ** (e - 1 - k), q)
-        d = _bsgs(gamma, h, q, p)
-        x += d * p**k
-    return x
-
-
-def dlog_mod_prime_power(q: int, w: int, u: int, p: int, e: int) -> int:
-    """dlog_w(u) mod p^e, for a generator w of F_q^x with p^e | q-1."""
-    pe = p**e
-    g = pow(w, (q - 1) // pe, q)
-    y = pow(u, (q - 1) // pe, q)
-    return _dlog_prime_power(g, y, q, p, e)
-
-
-def _crt(residues, moduli):
-    x, m = 0, 1
-    for r, mi in zip(residues, moduli):
-        t = (r - x) * pow(m, -1, mi) % mi
-        x += m * t
-        m *= mi
-    return x
+    t = 1
+    for i in range(p**h):
+        table[t] = i
+        t = t * gamma % q
+    if t != 1 or len(table) != p**h:
+        raise NotAGenerator(f"{g} does not have order {p}^{e} mod {q}")
+    try:
+        if h == e:
+            return [table[y] for y in values]
+        g_inv, top, shift = pow(g, -1, q), p ** (e - h), p ** (2 * h - e)
+        out = []
+        for y in values:
+            x0 = table[pow(y, top, q)]
+            x1 = table[y * pow(g_inv, x0, q) % q] // shift
+            out.append(x0 + p**h * x1)
+        return out
+    except KeyError:
+        raise NotAGenerator(f"a value lies outside <{g}> mod {q}") from None
 
 
 # ---------------------------------------------------------------------------
 # Linear algebra over Z/p^N
-
-
-@dataclass(frozen=True)
-class ResidueMatrix:
-    p: int
-    N: int
-    rows: int
-    cols: int
-    entries: tuple  # row-major tuple of tuples, reduced mod p^N
-
-    @property
-    def modulus(self):
-        return self.p**self.N
-
-    def to_array(self):
-        if self.rows == 0:
-            return np.zeros((0, self.cols), dtype=np.int64)
-        return np.array(self.entries, dtype=np.int64)
-
-    @classmethod
-    def from_array(cls, a, p, N):
-        a = np.asarray(a, dtype=np.int64) % (p**N)
-        return cls(p, N, a.shape[0], a.shape[1], tuple(map(tuple, a.tolist())))
 
 
 def _valuations(col, p, N):
@@ -314,14 +233,6 @@ def _echelon(M, p, N):
         pivots.append((r, col, k))
         r += 1
     return M[:r], pivots
-
-
-def howell_form(M: ResidueMatrix) -> ResidueMatrix:
-    """Canonical Howell normal form of the row module of M over Z/p^N."""
-    H, pivots = howell_array(M.to_array(), M.p, M.N)
-    return ResidueMatrix.from_array(
-        H if H.shape[0] else np.zeros((0, M.cols), dtype=np.int64), M.p, M.N
-    )
 
 
 def howell_array(A, p, N):

@@ -102,13 +102,6 @@ def potential_capitulation(class_order, n, d) -> bool:
     return (phi // d) % class_order == 0
 
 
-def norm_bound(class_order, relative_degree) -> bool:
-    """Capitulation in a degree-relative_degree extension forces the norm
-    (the class to the power of the degree) to be principal: possible only
-    when class_order divides relative_degree."""
-    return relative_degree % class_order == 0
-
-
 def lemma4_i(p_part_F, p_part_L, ell, a, ramification_ok):
     """Degree-ell^a extension F -> L with no nontrivial unramified
     subextension and ell not dividing h_L/h_F: the capitulation kernel is

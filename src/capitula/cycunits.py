@@ -19,8 +19,8 @@ from math import gcd
 
 import numpy as np
 
-from .arith import (check_int64_sums, howell_array, is_prime, p_valuation,
-                    primitive_root)
+from .arith import (check_int64_sums, howell_array, is_prime, p_power_dlogs,
+                    p_valuation, primitive_root)
 from .errors import (BadAuxPrime, ChiOrderNotCoprime, ParseError,
                      PrecisionTooLow, RingMismatch, StabilizationFailure)
 from .iwasawa import (EigenRing, RingIdeal, _min_scalar_level, _orbit_rows,
@@ -98,29 +98,25 @@ def _s_table(ell, p, N, q):
     """s[a] = dlog_w of (rho^a - rho^-a)/(rho - rho^-1) mod p^N for
     1 <= a <= (l-1)/2, w the least primitive root mod q, rho = w^((q-1)/l).
 
-    Well defined on a mod +-1 by the choice of q (for p = 2 the sign
-    contributes (q-1)/2 = 0 mod p^N)."""
+    Raising to (q-1)/p^N maps each value into the order-p^N subgroup that
+    g = w^((q-1)/p^N) generates, where arith.p_power_dlogs reads its dlog
+    to base g: that is the dlog_w mod p^N.  Well defined on a mod +-1 by
+    the choice of q (for p = 2 the sign contributes (q-1)/2 = 0 mod p^N)."""
     pe = p**N
     if (q - 1) % (ell * pe):
         raise BadAuxPrime(f"q = {q} is not 1 mod ell*p^{N}")
     w = primitive_root(q)
     exp = (q - 1) // pe
-    g = pow(w, exp, q)
-    dlog = {}
-    e = 1
-    for i in range(pe):
-        dlog[e] = i
-        e = e * g % q
     rho = pow(w, (q - 1) // ell, q)
     half = (ell - 1) // 2
     rpow = [1] * ell
     for i in range(1, ell):
         rpow[i] = rpow[i - 1] * rho % q
     den_inv = pow(rpow[1] - rpow[ell - 1], q - 2, q)
-    out = [0] * (half + 1)
-    for a in range(1, half + 1):
-        v = (rpow[a] - rpow[ell - a]) * den_inv % q
-        out[a] = dlog[pow(v, exp, q)]
+    values = [pow((rpow[a] - rpow[ell - a]) * den_inv % q, exp, q)
+              for a in range(1, half + 1)]
+    out = p_power_dlogs(values, pow(w, exp, q), q, p, N)
+    out.insert(0, 0)
     return out
 
 

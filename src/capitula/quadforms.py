@@ -1,6 +1,6 @@
 """Binary quadratic forms: class groups of quadratic fields, fundamental
-units, the order-2 Selmer group, and the visible (capitulating) class
-attached to a fundamental unit of norm +1.
+units, prime-discriminant factorizations, and the visible (capitulating)
+class attached to a fundamental unit of norm +1.
 
 Definite class groups come from the reduced primitive forms under Gauss
 composition; indefinite ones from cycles of reduced forms, i.e. the form
@@ -472,7 +472,7 @@ def visible_class(d: int, d1: int):
 
 
 # ---------------------------------------------------------------------------
-# Selmer group S_2 and ambiguous classes
+# Genus theory
 
 
 def prime_discriminant_factors(d: int):
@@ -489,30 +489,3 @@ def prime_discriminant_factors(d: int):
     if m != 1:
         parts.append(m)  # the 2-part: one of -4, 8, -8
     return sorted(parts, key=abs)
-
-
-@dataclass(frozen=True)
-class Selmer2Basis:
-    discriminant: int
-    unit_gens: tuple  # -1 and, for real fields, the fundamental unit
-    divisor_gens: tuple  # independent prime-discriminant representatives
-    order: int
-
-
-def selmer2_basis(d: int) -> Selmer2Basis:
-    _check_disc(d)
-    parts = prime_discriminant_factors(d)
-    divisors = tuple(parts[:-1])  # product of all parts is d ~ 1 in K*/K*^2
-    if d < 0:
-        units = (-1,)
-    else:
-        units = (-1, fundamental_unit(d))
-    order = 2 ** (len(units) + len(divisors))
-    return Selmer2Basis(d, units, divisors, order)
-
-
-def ambiguous_classes(d: int):
-    """One canonical representative per class of order dividing 2."""
-    g = class_group(d)
-    ident = g.identity()
-    return [x for x in g.elements if compose(x, x) == ident]

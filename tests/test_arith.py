@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capitula import arith
+from capitula.cycunits import _max_precision
 from capitula.errors import NotAGenerator, NotPrime, Overflow
 
 
@@ -39,11 +40,6 @@ class TestFactor:
             prod *= p**e
         assert prod == m
 
-    def test_squarefree_part(self):
-        assert arith.squarefree_part(12) == 3
-        assert arith.squarefree_part(-4) == -1
-        assert arith.squarefree_part(360) == 10
-
 
 class TestPrimality:
     def test_small(self):
@@ -60,46 +56,65 @@ class TestPrimality:
             assert arith.is_prime(n)
 
 
+def subgroup_generator(p, e):
+    """The least prime q = 1 (mod p^e), a primitive root w mod q, and the
+    generator w^((q-1)/p^e) of its order-p^e subgroup."""
+    q = 1 + p**e
+    while not arith.is_prime(q):
+        q += p**e
+    w = arith.primitive_root(q)
+    return q, w, pow(w, (q - 1) // p**e, q)
+
+
 class TestDiscreteLog:
     def test_example(self):
-        assert arith.discrete_log(7, 3, 6) == 3
+        # 5 has order 4 mod 13: 5^0, 5^1, 5^2, 5^3 = 1, 5, 12, 8
+        assert arith.p_power_dlogs([1, 5, 12, 8], 5, 13, 2, 2) == [0, 1, 2, 3]
 
     def test_not_prime(self):
+        # the dlog base is read off the least primitive root
         with pytest.raises(NotPrime):
-            arith.discrete_log(8, 3, 6)
-
-    def test_not_generator(self):
-        with pytest.raises(NotAGenerator):
-            arith.discrete_log(7, 2, 6)  # 2 has order 3 mod 7
+            arith.primitive_root(8)
 
     def test_roundtrip(self):
-        rng = random.Random(11)
-        for q in (101, 1009, 7489, 65537):
-            g = arith.primitive_root(q)
-            for _ in range(25):
-                e = rng.randrange(q - 1)
-                assert arith.discrete_log(q, g, pow(g, e, q)) == e
+        # e = 1, even e, odd e and e = _max_precision(p).  Three values
+        # read two digits once p^e > 24; all p^e values (e <= 3) read one
+        # (h = e), which at e = _max_precision(p) would need p^e / 8 values
+        for p in (2, 3, 5, 7):
+            for e in (1, 2, 3, _max_precision(p)):
+                q, _, g = subgroup_generator(p, e)
+                rng = random.Random(100 * p + e)
+                batches = [[rng.randrange(p**e) for _ in range(3)]]
+                if e <= 3:
+                    batches.append(list(range(p**e)))
+                for xs in batches:
+                    ys = [pow(g, x, q) for x in xs]
+                    got = arith.p_power_dlogs(ys, g, q, p, e)
+                    assert got == xs, (p, e)
+                    assert [pow(g, x, q) for x in got] == ys
 
     def test_dlog_mod_prime_power(self):
-        # logarithm of u to base w, reduced mod p^e, for u in the image
-        q = 7489  # q - 1 = 2^5 * 3 * 0x... ; 2^5 || q-1
+        # dlog_w(u) mod 2^5, for a primitive root w mod q = 7489
+        q = 7489
         w = arith.primitive_root(q)
+        g = pow(w, (q - 1) // 32, q)
         rng = random.Random(5)
-        for _ in range(20):
-            e = rng.randrange(q - 1)
-            t = arith.dlog_mod_prime_power(q, w, pow(w, e, q), 2, 5)
-            assert t == e % 32
+        xs = [rng.randrange(q - 1) for _ in range(20)]
+        ys = [pow(pow(w, x, q), (q - 1) // 32, q) for x in xs]
+        assert arith.p_power_dlogs(ys, g, q, 2, 5) == [x % 32 for x in xs]
 
-    def test_jacobi(self):
-        assert arith.jacobi(2, 7) == 1
-        assert arith.jacobi(3, 7) == -1
-        assert arith.jacobi(7, 7) == 0
-        # quadratic reciprocity spot check against Euler criterion
-        for a in range(1, 30):
-            for p in (11, 13, 101):
-                euler = pow(a, (p - 1) // 2, p)
-                expect = 0 if a % p == 0 else (1 if euler == 1 else -1)
-                assert arith.jacobi(a, p) == expect
+    def test_not_generator(self):
+        # a value outside <g> raises in either regime, as does a g whose
+        # order is not p^e; no number comes back
+        for p, e in ((2, 3), (3, 2), (5, 2), (7, 10)):
+            q, w, g = subgroup_generator(p, e)
+            for values in ([w], [g] * min(p**e, 64) + [w]):
+                with pytest.raises(NotAGenerator):
+                    arith.p_power_dlogs(values, g, q, p, e)
+            with pytest.raises(NotAGenerator):
+                arith.p_power_dlogs([1], pow(g, p, q), q, p, e)
+            with pytest.raises(NotAGenerator):
+                arith.p_power_dlogs([1], w, q, p, e)
 
 
 def random_matrix(rng, rows, cols, mod):
@@ -176,12 +191,6 @@ class TestHowell:
                 v = [rng.randrange(mod) for _ in range(2)]
                 got = arith.howell_contains(h, piv, np.array(v), p, N)
                 assert got == (tuple(v) in sp)
-
-    def test_residue_matrix_roundtrip(self):
-        m = arith.ResidueMatrix(2, 3, 2, 2, ((1, 2), (3, 4)))
-        h = arith.howell_form(m)
-        assert isinstance(h, arith.ResidueMatrix)
-        assert h.p == 2 and h.N == 3
 
 
 class TestSmith:

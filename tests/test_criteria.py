@@ -28,11 +28,6 @@ class TestRules:
         with pytest.raises(ValueError):
             cr.potential_capitulation(3, 229, 7)
 
-    def test_norm_bound(self):
-        assert cr.norm_bound(3, 27)
-        assert not cr.norm_bound(4, 2)
-        assert cr.norm_bound(1, 5)
-
     def test_lemma4_i(self):
         frag = cr.lemma4_i(3, 3, 3, 1, True)
         assert frag["kernel_order"] == 3

@@ -7,7 +7,7 @@ import pytest
 from capitula import cycunits as cu
 from capitula import iwasawa as iw
 from capitula import quadforms as qf
-from capitula.arith import is_prime
+from capitula.arith import is_prime, primitive_root
 from capitula.errors import (BadAuxPrime, ChiOrderNotCoprime, Overflow,
                              ParseError, PrecisionTooLow, RingMismatch)
 
@@ -45,6 +45,26 @@ def projection_by_entries(ring, vec, chi_id):
         cur = cur.mul_zeta()
     arr = (B.T @ c % mod) @ zpow % mod
     return ring.from_vector(arr.reshape(-1))
+
+
+def s_table_by_dict(ell, p, N, q):
+    """Reference s_table: a dict of all p^N powers of g = w^((q-1)/p^N),
+    and one lookup per (rho^a - rho^-a)/(rho - rho^-1) raised into <g>."""
+    exp = (q - 1) // p**N
+    w = primitive_root(q)
+    g = pow(w, exp, q)
+    dlog = {}
+    e = 1
+    for i in range(p**N):
+        dlog[e] = i
+        e = e * g % q
+    rho = pow(w, (q - 1) // ell, q)
+    den_inv = pow(rho - pow(rho, -1, q), -1, q)
+    out = [0]
+    for a in range(1, (ell - 1) // 2 + 1):
+        v = (pow(rho, a, q) - pow(rho, -a, q)) * den_inv % q
+        out.append(dlog[pow(v, exp, q)])
+    return out
 
 
 class TestSymbols:
@@ -146,6 +166,17 @@ class TestUnitImage:
             vec = cu.unit_image_mod_q(u, q, p, n_work)
             assert project(vec) == projection_by_entries(R, vec, chi_id)
 
+    @pytest.mark.parametrize("ell, p, count", [
+        (2917, 3, 4), (2857, 3, 4), (211, 7, 4), (7351, 7, 1), (7681, 2, 4),
+        (401, 5, 4)])
+    def test_s_table_matches_dict(self, ell, p, count):
+        # at the working precision; 2857 and 7681 read one dlog digit, the
+        # others two
+        n_work = min(cu.tower_exponent(ell, p) + 5, cu._max_precision(p))
+        for q in aux_primes(ell, p, n_work, count):
+            assert (cu._s_table(ell, p, n_work, q)
+                    == s_table_by_dict(ell, p, n_work, q))
+
     def test_image_is_deterministic(self):
         u = cu.CyclotomicUnitSymbol.generator(13)
         q = aux_primes(13, 3, 2, 1)[0]
@@ -199,23 +230,28 @@ class TestComputeFittingIdeal:
         assert rec.N == rec.n + 3
         assert rec.n == cu.tower_exponent(13, 3) == 1
 
-    def test_precision_doubles_until_certified(self, monkeypatch):
-        # no scalar is certified below working precision 10: N = 4 fails,
-        # its double N = 8 succeeds; a requested N is never doubled
+    @pytest.mark.parametrize("threshold, tried_want, N_want", [
+        (10, [6, 10], 8), (18, [6, 10, 18], 16)],
+        ids=["threshold10", "threshold18"])
+    def test_precision_doubles_until_certified(self, monkeypatch, threshold,
+                                               tried_want, N_want):
+        # no scalar is certified below working precision `threshold`: each
+        # lower N fails and is doubled, up to the cap (working precision
+        # 18 = _max_precision(3)); a requested N is never doubled
         certify = cu._min_scalar_level
         tried = []
 
         def late(H, piv, R):
             tried.append(R.N)
-            return certify(H, piv, R) if R.N >= 10 else None
+            return certify(H, piv, R) if R.N >= threshold else None
 
         monkeypatch.setattr(cu, "_min_scalar_level", late)
         rec = cu.compute_fitting_ideal(13, 3, 2)
-        assert tried == [6, 10] and rec.N == 8
+        assert tried == tried_want and rec.N == N_want
         with pytest.raises(PrecisionTooLow):
             cu.compute_fitting_ideal(13, 3, 2, N=4)
         monkeypatch.setattr(cu, "_min_scalar_level", certify)
-        assert rec == cu.compute_fitting_ideal(13, 3, 2, N=8)
+        assert rec == cu.compute_fitting_ideal(13, 3, 2, N=N_want)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
