@@ -7,7 +7,7 @@ on it.
 """
 
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -71,9 +71,6 @@ class Factorization:
 
     def primes(self):
         return [p for p, _ in self.factors]
-
-    def reconstruct(self):
-        return prod(p**e for p, e in self.factors)
 
 
 def _brent_rho(n: int) -> int:
@@ -187,21 +184,6 @@ def p_power_dlogs(values, g, q, p, e):
 # Linear algebra over Z/p^N
 
 
-def _valuations(col, p, N):
-    """Per-entry p-adic valuation of a 1-d int64 array (0 -> N)."""
-    v = np.full(col.shape, N, dtype=np.int64)
-    rem = col.copy()
-    nz = rem != 0
-    v[nz] = 0
-    for _ in range(N):
-        nz = (rem != 0) & (rem % p == 0)
-        if not nz.any():
-            break
-        rem[nz] //= p
-        v[nz] += 1
-    return v
-
-
 def _echelon(M, p, N):
     """In-place row echelon over Z/p^N with normalized p-power pivots.
 
@@ -216,15 +198,17 @@ def _echelon(M, p, N):
     for col in range(ncols):
         if r == nrows:
             break
-        sub = M[r:, col]
-        vals = _valuations(sub, p, N)
-        k = int(vals.min())
-        if k == N:
+        # gcd(x, p^N) = p^v(x), and p^N for x = 0: its argmin is the
+        # first entry of least valuation
+        powers = np.gcd(M[r:, col], mod)
+        i = int(powers.argmin())
+        pk = int(powers[i])
+        if pk == mod:
             continue
-        i = r + int(vals.argmin())
+        k = p_valuation(pk, p)
+        i += r
         if i != r:
             M[[r, i]] = M[[i, r]]
-        pk = p**k
         unit = int(M[r, col]) // pk
         M[r] = M[r] * pow(unit, -1, mod) % mod
         if r + 1 < nrows:
@@ -318,9 +302,10 @@ def smith_diagonalize(A, p, N, want_u=True):
         sub = M[t:, t:]
         if not sub.any():
             break
-        vals = _valuations(sub.ravel(), p, N).reshape(sub.shape)
-        k = int(vals.min())
-        i, j = np.unravel_index(int(vals.argmin()), vals.shape)
+        powers = np.gcd(sub, mod)  # p^valuation, as in _echelon
+        i, j = np.unravel_index(int(powers.argmin()), powers.shape)
+        pk = int(powers[i, j])
+        k = p_valuation(pk, p)
         i += t
         j += t
         if i != t:
@@ -329,7 +314,6 @@ def smith_diagonalize(A, p, N, want_u=True):
                 U[[t, i]] = U[[i, t]]
         if j != t:
             M[:, [t, j]] = M[:, [j, t]]
-        pk = p**k
         unit = int(M[t, t]) // pk
         inv = pow(unit, -1, mod)
         M[t] = M[t] * inv % mod

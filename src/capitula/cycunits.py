@@ -5,9 +5,10 @@ primes q = 1 (mod l*p^N).
 For each auxiliary prime q the fixed Galois generator
 u = (zeta^g - zeta^-g)/(zeta - zeta^-1) (g the least primitive root mod l)
 is mapped through F_q: its Galois orbit of discrete logs, projected to the
-chi-eigenspace, is one element of the target ideal.  The ideal generated by
-these images grows with q and is declared computed once its Howell form is
-unchanged for 5 consecutive batches of 4 primes.  Correctness is anchored
+chi-eigenspace, is one element lambda of the target ideal I.  I grows with
+q, one batch of 4 primes at a time, and is declared computed once 5
+consecutive batches add nothing: every new lambda already lies in I, which
+a membership test decides without an echelon.  Correctness is anchored
 to fixtures and to the quadratic class-group cross-check, not to a proof;
 records carry a Monte-Carlo-stabilized provenance flag.
 """
@@ -23,8 +24,8 @@ from .arith import (check_int64_sums, howell_array, is_prime, p_power_dlogs,
                     p_valuation, primitive_root)
 from .errors import (BadAuxPrime, ChiOrderNotCoprime, ParseError,
                      PrecisionTooLow, RingMismatch, StabilizationFailure)
-from .iwasawa import (EigenRing, RingIdeal, _min_scalar_level, _orbit_rows,
-                      ideal_make, parse_element, render_element, ring_make)
+from .iwasawa import (EigenRing, RingIdeal, _min_scalar_level, ideal_make,
+                      parse_element, render_element, ring_make)
 
 # Convention pinned by the worked-example fixtures: with the group-algebra
 # element carrying dlog(sigma^e u) on [sigma^-e], the eigenspace projection
@@ -210,34 +211,24 @@ def tower_exponent(ell, p):
     return p_valuation((ell - 1) // 2, p)
 
 
-def _extract_generators(R, howell_rows, pivots, scalar_val):
-    """A small generating set reproducing the ideal: greedy over Howell rows
-    (fewest-terms first), plus the certified p-power scalar."""
+def _extract_generators(R, howell_rows, scalar_val):
+    """A small generating set of the ideal with Howell form howell_rows,
+    which holds p^scalar_val: that scalar, and greedily each Howell row
+    that the ideal grown so far misses, until it is the whole ideal."""
     # Howell order: earlier pivot columns mean lower T-degree, which
     # generates the most under multiplication by T and zeta
-    rows = [R.from_vector(r) for r in howell_rows]
-    # the incoming rows already span the ideal as a module (they are the
-    # Howell form of orbit-closed generators), so the target Howell form
-    # comes straight from them -- no need to re-expand every row's orbit
-    scal = np.zeros((1, R.rank), dtype=np.int64)
-    scal[0, 0] = R.p**scalar_val % R.mod
-    stacked = np.vstack(
-        [np.asarray(howell_rows, dtype=np.int64).reshape(-1, R.rank), scal]
-    )
-    target_H, _ = howell_array(stacked, R.p, R.N)
+    scalar = R.p**scalar_val
+    current = ideal_make(R, [scalar])
     gens = []
-    current = ideal_make(R, [int(R.p**scalar_val)])
-    for r in rows:
-        if r.is_zero() or current.contains(r):
+    for row in howell_rows:
+        r = R.from_vector(row)
+        if current.contains(r):
             continue
-        gens.append(r)
-        current = ideal_make(R, gens + [int(R.p**scalar_val)])
-        if (current.howell.shape == target_H.shape
-                and (current.howell == target_H).all()):
+        gens.append(render_element(r))
+        current = current.grow([r])
+        if np.array_equal(current.howell, howell_rows):
             break
-    out = [render_element(g) for g in gens]
-    out.append(str(R.p**scalar_val))
-    return tuple(out), current
+    return (*gens, str(scalar))
 
 
 _MAX_BATCHES = 60  # batches of 4 auxiliary primes before giving up
@@ -248,9 +239,9 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
     """Sample the ideal I with B(chi^-1) = O[[T]]/(I, p^N) for the degree-
     chi_order character of conductor ell.
 
-    The run succeeds once the Howell form is unchanged for 5 consecutive
-    batches of 4 auxiliary primes (or the ideal becomes the unit ideal,
-    which is definitive since sampling only grows it).  Without N, the
+    The run succeeds once 5 consecutive batches of 4 auxiliary primes add
+    nothing, meaning every new unit image already lies in I (or once I is
+    the unit ideal, which is definitive since sampling only grows it).  Without N, the
     precision starts at n + 3 and doubles, up to the cap, while the
     certified scalar exceeds it.
     """
@@ -274,26 +265,23 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
         R_work = ring_make(p, n, chi_order, n_work)
         project = _chi_projector(R_work, half, chi_id)
         stream = _aux_prime_stream(ell, p, n_work)
-        rows = np.zeros((0, R_work.rank), dtype=np.int64)
-        H = None
+        I = None
         stable = 0
         used = []
         for _ in range(_MAX_BATCHES):
-            new_rows = []
+            lams = []
             for _ in range(4):
                 q = next(stream)
                 used.append(q)
-                lam = project(unit_image_mod_q(u, q, p, n_work))
-                new_rows.extend(_orbit_rows(lam))
-            rows = np.vstack([rows, np.array(new_rows, dtype=np.int64)])
-            H_new, piv = howell_array(rows, p, n_work)
-            rows = H_new  # accumulate compactly
-            if H is not None and H.shape == H_new.shape and (H == H_new).all():
+                lams.append(project(unit_image_mod_q(u, q, p, n_work)))
+            # I is an R-ideal, so it holds the orbit of each lambda exactly
+            # when it holds lambda: a batch inside I leaves it unchanged
+            if I is not None and all(I.contains(lam) for lam in lams):
                 stable += 1
             else:
+                I = ideal_make(R_work, lams) if I is None else I.grow(lams)
                 stable = 0
-            H = H_new
-            unit = any(c == 0 and k == 0 for _, c, k in piv)
+            unit = any(c == 0 and k == 0 for _, c, k in I.pivots)
             if stable >= 5 or unit:
                 break
         else:
@@ -303,16 +291,16 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
             )
         # certified p-power scalar level, read off the working-precision
         # span (at precision N the scalar p^N itself reduces to zero)
-        scalar_val = _min_scalar_level(H, piv, R_work)
+        scalar_val = _min_scalar_level(I.howell, I.pivots, R_work)
         if scalar_val is not None and scalar_val <= N:
             break
     else:
         raise PrecisionTooLow(
             f"smallest certified scalar exceeds requested precision p^{N}"
         )
-    R_out = ring_make(p, n, chi_order, N)
-    H_out, piv_out = howell_array(H % R_out.mod, p, N)
-    gens, _ = _extract_generators(R_out, H_out, piv_out, scalar_val)
+    H_out, _ = howell_array(I.howell, p, N)
+    gens = _extract_generators(ring_make(p, n, chi_order, N), H_out,
+                               scalar_val)
     choices = (
         ("unit", "least primitive root mod ell"),
         ("root_of_unity", "w^((q-1)/ell), w least primitive root mod q"),

@@ -24,12 +24,6 @@ class PeriodPolynomial:
     m: int
     coefficients: tuple  # ascending, constant term first, monic
 
-    def __call__(self, x):
-        out = 0
-        for c in reversed(self.coefficients):
-            out = out * x + c
-        return out
-
 
 def _zeta_mul(u, v, ell):
     """Product in Z[x]/(x^ell - 1)."""

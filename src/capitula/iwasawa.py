@@ -625,6 +625,41 @@ class RingIdeal:
         gens = ", ".join(render_element(g) for g in self.gens)
         return f"RingIdeal({self.ring!r}, [{gens}])"
 
+    def grow(self, gens) -> "RingIdeal":
+        """The ideal generated by this one and gens: the Howell form of its
+        Howell rows stacked on the orbit rows of gens.  Each gen may be a
+        RingElement, an int, or a string in the element grammar.  Integer
+        (and pure-integer string) generators certify that a p-power scalar
+        lies in the ideal even when it reduces to 0 at precision N.
+        """
+        R = self.ring
+        elements = []
+        level = self.scalar_level
+        for g in gens:
+            if isinstance(g, str):
+                if re.fullmatch(r"\s*-?\d+\s*", g):
+                    g = int(g)
+                else:
+                    g = parse_element(R, g)
+            if isinstance(g, int):
+                if g:
+                    v = p_valuation(g, R.p)
+                    level = v if level is None else min(level, v)
+                g = R.scalar(g)
+            if g.ring != R:
+                raise RingMismatch("generator from a different ring")
+            elements.append(g)
+        rows = [self.howell] + [_orbit_rows(g) for g in elements]
+        H, piv = howell_array(np.vstack(rows), R.p, R.N)
+        # the least p-power scalar inside the span certifies the precision
+        # policy
+        vis = _min_scalar_level(H, piv, R)
+        if vis is not None:
+            level = vis if level is None else min(level, vis)
+        if level is not None:
+            level = min(level, R.N)
+        return RingIdeal(R, self.gens + tuple(elements), H, piv, level)
+
     def contains(self, elt):
         if elt.ring != self.ring:
             raise RingMismatch("element not in the ideal's ring")
@@ -663,40 +698,11 @@ def ring_make(p, n, chi_order, N) -> EigenRing:
 
 
 def ideal_make(R, gens) -> RingIdeal:
-    """Ideal generated by gens; each may be a RingElement, an int, or a
-    string in the element grammar.  Integer (and pure-integer string)
-    generators certify that a p-power scalar lies in the ideal even when it
-    reduces to 0 at precision N.
-    """
+    """Ideal generated by gens (see RingIdeal.grow), grown from zero."""
     if not gens:
         raise ValueError("gens must be nonempty")
-    elements = []
-    level = None
-    for g in gens:
-        if isinstance(g, str):
-            if re.fullmatch(r"\s*-?\d+\s*", g):
-                g = int(g)
-            else:
-                g = parse_element(R, g)
-        if isinstance(g, int):
-            if g:
-                v = p_valuation(g, R.p)
-                level = v if level is None else min(level, v)
-            g = R.scalar(g)
-        if g.ring != R:
-            raise RingMismatch("generator from a different ring")
-        elements.append(g)
-    rows = []
-    for g in elements:
-        rows.extend(_orbit_rows(g))
-    H, piv = howell_array(np.array(rows, dtype=np.int64), R.p, R.N)
-    # the least p-power scalar inside the span certifies the precision policy
-    vis = _min_scalar_level(H, piv, R)
-    if vis is not None:
-        level = vis if level is None else min(level, vis)
-    if level is not None:
-        level = min(level, R.N)
-    return RingIdeal(R, tuple(elements), H, piv, level)
+    zero = RingIdeal(R, (), np.zeros((0, R.rank), dtype=np.int64), [], None)
+    return zero.grow(gens)
 
 
 def _min_scalar_level(H, piv, R):

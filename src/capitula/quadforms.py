@@ -235,8 +235,6 @@ class FormClassGroup:
     discriminant: int
     h: int
     invariants: tuple  # d1 | d2 | ... ascending
-    generators: tuple
-    ambiguous_count: int
     elements: tuple = field(repr=False, default=())
 
     def identity(self):
@@ -276,44 +274,6 @@ def _abelian_invariants(elements, d, h):
     return tuple(sorted(invs))
 
 
-def _find_generators(elements, d, h, invariants):
-    if h == 1:
-        return ()
-    hf = factor(h).factors
-    ident = principal_form(d)
-    orders = {x: _element_order(x, hf, h, d) for x in elements}
-
-    def closure(gens):
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = compose(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
-    gens = []
-    sub = {ident}
-    for target in sorted(invariants, reverse=True):
-        for x in sorted(elements):
-            if orders[x] != target or x in gens:
-                continue
-            cand = closure(gens + [x])
-            if len(cand) == len(sub) * target:
-                gens.append(x)
-                sub = cand
-                break
-        else:
-            raise ArithmeticError("generator search failed")
-    gens.reverse()  # align with ascending invariants
-    return tuple(gens)
-
-
 @lru_cache(maxsize=4096)
 def class_group(d: int) -> FormClassGroup:
     """The form class group of fundamental discriminant d."""
@@ -333,10 +293,7 @@ def class_group(d: int) -> FormClassGroup:
         elements.sort()
     h = len(elements)
     invariants = _abelian_invariants(elements, d, h)
-    generators = _find_generators(elements, d, h, invariants)
-    ident = principal_form(d)
-    ambiguous = sum(1 for x in elements if compose(x, x) == ident)
-    return FormClassGroup(d, h, invariants, generators, ambiguous, tuple(elements))
+    return FormClassGroup(d, h, invariants, tuple(elements))
 
 
 def p_part(g: FormClassGroup, p: int):

@@ -7,7 +7,7 @@ import pytest
 from capitula import cycunits as cu
 from capitula import iwasawa as iw
 from capitula import quadforms as qf
-from capitula.arith import is_prime, primitive_root
+from capitula.arith import howell_array, is_prime, primitive_root
 from capitula.errors import (BadAuxPrime, ChiOrderNotCoprime, Overflow,
                              ParseError, PrecisionTooLow, RingMismatch)
 
@@ -252,6 +252,37 @@ class TestComputeFittingIdeal:
             cu.compute_fitting_ideal(13, 3, 2, N=4)
         monkeypatch.setattr(cu, "_min_scalar_level", certify)
         assert rec == cu.compute_fitting_ideal(13, 3, 2, N=N_want)
+
+    @pytest.mark.parametrize(
+        "ell, p, chi_order, chi_id, N, aux, stable, gens", [
+            (2089, 3, 2, 1, 3, 24, 5, ("3+2*T+2*T^2", "27")),
+            (13, 3, 2, 1, None, 4, 0, ("1",)),
+            (7351, 7, 3, 2, None, 24, 5, ("T", "49")),
+            (9337, 2, 3, 2, 3, 24, 5, ("2+z*T+z*T^2", "8"))])
+    def test_provenance(self, ell, p, chi_order, chi_id, N, aux, stable,
+                        gens):
+        # aux primes, stabilization count and generators of records
+        rec = cu.compute_fitting_ideal(ell, p, chi_order, chi_id=chi_id, N=N)
+        assert len(rec.aux_primes_used) == aux
+        assert rec.stabilization_count == stable
+        assert rec.generators == gens
+
+    def test_batches_inside_the_ideal_run_no_echelon(self, monkeypatch):
+        # a batch whose unit images all lie in I leaves I unchanged, so only
+        # the batches that grew I echelon, plus extraction: the reduction
+        # to precision N, the scalar's ideal and one growth per further
+        # generator
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return howell_array(*args)
+
+        monkeypatch.setattr(cu, "howell_array", counting)
+        monkeypatch.setattr(iw, "howell_array", counting)
+        rec = cu.compute_fitting_ideal(2089, 3, 2, N=3)
+        grew = len(rec.aux_primes_used) // 4 - rec.stabilization_count
+        assert len(calls) <= grew + 1 + len(rec.generators)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):

@@ -322,6 +322,24 @@ class TestIdealMake:
         I = iw.ideal_make(R, [R.scalar(3), R.T()])
         assert I.scalar_level == 1
 
+    def test_grow_matches_ideal_make(self):
+        # growing an ideal by a few generators at a time gives the ideal of
+        # all of them, Howell form and certified scalar level alike; the
+        # integer generator p^k certifies its level even when p^k = 0
+        rng = random.Random(37)
+        for R in small_rings():
+            for _ in range(6):
+                gens = random_gens(R, rng, k=3)
+                gens.insert(rng.randrange(4), R.p ** rng.randrange(R.N + 1))
+                cut = rng.randrange(1, len(gens))
+                I = iw.ideal_make(R, gens[:cut])
+                for g in gens[cut:]:
+                    I = I.grow([g])
+                J = iw.ideal_make(R, gens)
+                assert np.array_equal(I.howell, J.howell)
+                assert I.pivots == J.pivots
+                assert I.scalar_level == J.scalar_level
+
     def test_closure_under_t_and_zeta(self):
         rng = random.Random(31)
         for R in (ring_ex1(), ring_ex3()):

@@ -57,25 +57,6 @@ class TestClassGroup:
         with pytest.raises(Overflow):
             qf.class_group(10**7 + 9)  # fundamental but over the bound
 
-    def test_generators_generate(self):
-        for d in (-84, -95, 60, 229, -120):
-            g = qf.class_group(d)
-            assert len(g.generators) == len(g.invariants)
-            seen = {g.identity()}
-            frontier = [g.identity()]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for gen in g.generators:
-                        y = qf.compose(x, gen)
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            assert len(seen) == g.h
-            for gen, inv in zip(g.generators, g.invariants):
-                assert qf.form_pow(gen, inv) == g.identity()
-
     def test_invariants_divide(self):
         for d in fundamental_discs(-200, -3):
             invs = qf.class_group(d).invariants
@@ -110,9 +91,7 @@ class TestClassGroup:
         # number of ambiguous classes is 2^(s-1), s = number of prime divisors of d
         for d in fundamental_discs(-300, -3):
             s = len(qf.prime_discriminant_factors(d))
-            g = qf.class_group(d)
-            assert g.ambiguous_count == 2 ** (s - 1)
-            assert len(ambiguous_classes(d)) == g.ambiguous_count
+            assert len(ambiguous_classes(d)) == 2 ** (s - 1)
 
 
 class TestReduction:
