@@ -1,7 +1,9 @@
 """Exact integer and residue-ring arithmetic.
 
 Primality, factorization, discrete logs in the p-power subgroups of prime
-fields, and canonical linear algebra (Howell / Smith forms) over Z/p^N.
+fields, and linear algebra over Z/p^N.  That has one elimination, the
+one-pass Howell form: membership, canonical residues and left kernels are
+read off it.  Smith forms return only the valuations of their invariants.
 Everything here is deterministic and pure; the rest of the library builds
 on it.
 """
@@ -184,69 +186,67 @@ def p_power_dlogs(values, g, q, p, e):
 # Linear algebra over Z/p^N
 
 
-def _echelon(M, p, N):
-    """In-place row echelon over Z/p^N with normalized p-power pivots.
-
-    Returns (matrix of pivot rows, list of (row, col, val))."""
-    mod = p**N
-    if mod >= 1 << 31:
-        raise ValueError("modulus too large for int64 arithmetic")
-    M = M % mod
-    nrows, ncols = M.shape
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        if r == nrows:
-            break
-        # gcd(x, p^N) = p^v(x), and p^N for x = 0: its argmin is the
-        # first entry of least valuation
-        powers = np.gcd(M[r:, col], mod)
-        i = int(powers.argmin())
-        pk = int(powers[i])
-        if pk == mod:
-            continue
-        k = p_valuation(pk, p)
-        i += r
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        unit = int(M[r, col]) // pk
-        M[r] = M[r] * pow(unit, -1, mod) % mod
-        if r + 1 < nrows:
-            c = M[r + 1 :, col] // pk
-            M[r + 1 :] = (M[r + 1 :] - c[:, None] * M[r]) % mod
-        pivots.append((r, col, k))
-        r += 1
-    return M[:r], pivots
+def _clear_column(M, lo, hi, col, row, pk, mod):
+    """Reduce column col of the rows M[lo:hi] below pk by subtracting
+    multiples of row, whose entry there is pk.  Earlier columns are zero in
+    row, and rows whose multiple is zero are not touched."""
+    c = M[lo:hi, col] // pk
+    nz = c.nonzero()[0]
+    if nz.size:
+        # a slice, cheaper than gathering rows, when no multiple is zero
+        rows = slice(lo, hi) if nz.size == c.size else lo + nz
+        M[rows, col:] = (M[rows, col:] - c[nz, None] * row) % mod
 
 
 def howell_array(A, p, N):
-    """Howell form as (array, pivots) with pivots = [(row, col, val), ...]."""
+    """Howell form of the row span of A over Z/p^N, as (H, pivots) with
+    pivots = [(row, col, k), ...] and H[row, col] = p^k.
+
+    One pass over the columns (Howell, Linear Multilinear Algebra 19, 1986;
+    Storjohann, Algorithms for Matrix Canonical Forms, 2000, ch. 4).  The
+    rows below the pivots found so far form a pool that spans exactly the
+    elements of the span vanishing before the current column: clearing a
+    column with a pivot p^k keeps this true once p^(N-k) times the pivot
+    row, which is zero in that column, joins the pool.  That adds at most
+    one row per column.
+    """
     mod = p**N
-    A = np.asarray(A, dtype=np.int64) % mod
+    if mod >= 1 << 31:
+        raise ValueError("modulus too large for int64 arithmetic")
+    A = np.asarray(A, dtype=np.int64)
     A = A.reshape(-1, A.shape[-1])
-    A = A[np.any(A != 0, axis=1)]
-    if A.shape[0] == 0:
-        return A, []
-    while True:
-        H, pivots = _echelon(A, p, N)
-        extra = []
-        for r, col, k in pivots:
-            if k == 0:
-                continue
-            cand = H[r] * p ** (N - k) % mod
-            cand = howell_reduce(cand, H, pivots, p, N)
-            if cand.any():
-                extra.append(cand)
-        if not extra:
+    nrows, ncols = A.shape
+    M = np.zeros((nrows + ncols, ncols), dtype=np.int64)
+    M[:nrows] = A % mod
+    r, m = 0, nrows  # pivot rows M[:r], pool M[r:m]
+    pivots = []
+    for col in range(ncols):
+        if r == m:
             break
-        A = np.vstack([H] + extra)
-    # normalize entries above each pivot modulo the pivot
-    for r, col, k in pivots:
-        if r == 0:
+        # gcd(x, p^N) = p^v(x), and p^N for x = 0: its argmin is the
+        # first entry of least valuation
+        powers = np.gcd(M[r:m, col], mod)
+        i = r + int(powers.argmin())
+        pk = int(powers[i - r])
+        if pk == mod:
             continue
-        pk = p**k
-        c = H[:r, col] // pk
-        H[:r] = (H[:r] - c[:, None] * H[r]) % mod
+        # pool rows vanish before col, so only columns col: change
+        if i != r:
+            M[[r, i], col:] = M[[i, r], col:]
+        row = M[r, col:]
+        unit = int(row[0]) // pk
+        if unit != 1:
+            row[:] = row * pow(unit, -1, mod) % mod
+        _clear_column(M, r + 1, m, col, row, pk, mod)
+        if pk > 1:
+            M[m, col:] = row * (mod // pk) % mod
+            m += 1
+        pivots.append((r, col, p_valuation(pk, p)))
+        r += 1
+    H = M[:r].copy()
+    # reduce the entries above each pivot modulo the pivot
+    for r, col, k in pivots:
+        _clear_column(H, 0, r, col, H[r, col:], p**k, mod)
     return H, pivots
 
 
@@ -263,16 +263,10 @@ def howell_reduce(v, H, pivots, p, N):
 
 
 def howell_contains(H, pivots, v, p, N):
-    """Membership of row vector v in the Howell-spanned module."""
-    mod = p**N
-    v = np.asarray(v, dtype=np.int64) % mod
-    for r, col, k in pivots:
-        pk = p**k
-        e = int(v[col])
-        if e % pk:
-            return False
-        v = (v - (e // pk) * H[r]) % mod
-    return not v.any()
+    """Membership of row vector v in the Howell-spanned module: an entry
+    that the pivot p^k does not divide stays in the remainder, since later
+    rows are zero in its column."""
+    return not howell_reduce(v, H, pivots, p, N).any()
 
 
 def check_int64_sums(mod, dim):
@@ -282,73 +276,38 @@ def check_int64_sums(mod, dim):
         raise Overflow(f"{dim} products of residues mod {mod} overflow int64")
 
 
-def smith_diagonalize(A, p, N, want_u=True):
-    """Diagonalize A over Z/p^N by invertible row/column operations.
+def smith_diagonalize(A, p, N):
+    """The valuations a_i, ascending, of the nonzero entries p^a_i of the
+    Smith form of A over Z/p^N.
 
-    Returns (diag, U): for some invertible V, U A V = diag(p^a_i) (mod p^N),
-    so row i of U A is p^a_i times a row with a unit entry, and the rows of
-    U A past len(diag) are zero.  U is None unless wanted.  diag lists the
-    valuations a_i.
-    """
+    An entry p^k * unit of least valuation divides every other entry, so
+    clearing its column with its row, scaled to make it p^k, zeroes that
+    row and column and leaves the Smith form of the rest."""
     mod = p**N
     if mod >= 1 << 31:
         raise ValueError("modulus too large for int64 arithmetic")
-    M = np.array(A, dtype=np.int64) % mod
-    nr, nc = M.shape
-    U = np.eye(nr, dtype=np.int64) if want_u else None
+    M = np.asarray(A, dtype=np.int64) % mod
     diag = []
-    t = 0
-    while t < min(nr, nc):
-        sub = M[t:, t:]
-        if not sub.any():
-            break
-        powers = np.gcd(sub, mod)  # p^valuation, as in _echelon
-        i, j = np.unravel_index(int(powers.argmin()), powers.shape)
+    while M.any():
+        powers = np.gcd(M, mod)  # p^valuation, as in howell_array
+        i, j = divmod(int(powers.argmin()), M.shape[1])
         pk = int(powers[i, j])
-        k = p_valuation(pk, p)
-        i += t
-        j += t
-        if i != t:
-            M[[t, i]] = M[[i, t]]
-            if want_u:
-                U[[t, i]] = U[[i, t]]
-        if j != t:
-            M[:, [t, j]] = M[:, [j, t]]
-        unit = int(M[t, t]) // pk
-        inv = pow(unit, -1, mod)
-        M[t] = M[t] * inv % mod
-        if want_u:
-            U[t] = U[t] * inv % mod
-        c = M[:, t] // pk
-        c[t] = 0
-        M = (M - c[:, None] * M[t]) % mod
-        if want_u:
-            U = (U - c[:, None] * U[t]) % mod
-        c2 = M[t] // pk
-        c2[t] = 0
-        M = (M - np.outer(M[:, t], c2)) % mod
-        diag.append(k)
-        t += 1
-    return diag, U
+        row = M[i] * pow(int(M[i, j]) // pk, -1, mod) % mod
+        M = (M - np.outer(M[:, j] // pk, row)) % mod
+        diag.append(p_valuation(pk, p))
+    return diag
 
 
 def left_kernel(A, p, N):
-    """Generators of {x : x A = 0 mod p^N} as rows of an array."""
-    mod = p**N
+    """Generators of {x : x A = 0 mod p^N} as rows of an array: the Howell
+    form of [A | 1] spans every (0, x) of its span in its rows that vanish
+    on A's columns."""
     A = np.asarray(A, dtype=np.int64)
-    nr = A.shape[0]
+    nr, nc = A.shape
     if nr == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    diag, U = smith_diagonalize(A, p, N)
-    gens = []
-    for i, a in enumerate(diag):
-        if a > 0:
-            gens.append(U[i] * p ** (N - a) % mod)
-    for i in range(len(diag), nr):
-        gens.append(U[i])
-    if not gens:
-        return np.zeros((0, nr), dtype=np.int64)
-    return np.vstack(gens)
+    H, pivots = howell_array(np.hstack([A, np.eye(nr, dtype=np.int64)]), p, N)
+    return H[sum(col < nc for _, col, _ in pivots):, nc:]
 
 
 def quotient_invariants(A, p, N):
@@ -356,7 +315,6 @@ def quotient_invariants(A, p, N):
 
     Returned ascending, trivial factors dropped."""
     A = np.asarray(A, dtype=np.int64)
-    nc = A.shape[1]
-    diag, _ = smith_diagonalize(A, p, N, want_u=False)
-    exps = list(diag) + [N] * (nc - len(diag))
+    diag = smith_diagonalize(A, p, N)
+    exps = diag + [N] * (A.shape[1] - len(diag))
     return sorted(p**a for a in exps if a > 0)

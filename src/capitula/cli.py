@@ -341,6 +341,17 @@ def ingest_report(path):
 # argument parsing and subcommands
 
 
+def _residue_class(text):
+    """The pair (a, m) of "a:m", for ell = a (mod m) with m >= 1."""
+    try:
+        a, m = (int(x) for x in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a:m, got {text!r}") from None
+    if m < 1:
+        raise argparse.ArgumentTypeError(f"modulus {m} must be at least 1")
+    return a, m
+
+
 def _build_parser():
     top = argparse.ArgumentParser(prog="capitula")
     top.add_argument("--format", default="csv",
@@ -371,7 +382,8 @@ def _build_parser():
     p.add_argument("--kind", choices=("quad", "cubic"), required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--max", type=int, default=10000)
-    p.add_argument("--mod", default=None, help="a:m for ell = a (mod m)")
+    p.add_argument("--mod", type=_residue_class, default=(1, 4),
+                   help="a:m for ell = a (mod m)")
     p.add_argument("--long-run", action="store_true")
     p = sub.add_parser("ingest")
     p.add_argument("--file", required=True)
@@ -421,9 +433,7 @@ def main(argv=None, out=None):
         if args.max > 10000 and not args.long_run:
             raise SystemExit("bounds above 10000 require --long-run")
         if args.kind == "quad":
-            residue, modulus = (1, 4)
-            if args.mod:
-                residue, modulus = (int(x) for x in args.mod.split(":"))
+            residue, modulus = args.mod
             records = scan_quadratic(args.p, residue, modulus, args.max,
                                      jobs=args.jobs, cache=cache)
         else:

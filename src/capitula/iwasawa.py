@@ -315,10 +315,6 @@ class EigenRing:
         arr[:, 0] = coeffs
         return RingElement(self, arr)
 
-    def one_plus_t_power(self, e):
-        """(1+T)^e for 0 <= e < p^n, by binomials (no reduction needed)."""
-        return self._scalar_poly(self.binomials()[e % self.pn, :self.pn])
-
     def omega(self, m):
         """omega_m(T) = (1+T)^(p^m) - 1 as a ring element, for m <= n."""
         pm = self.p**m
@@ -448,9 +444,6 @@ class RingElement:
 
     def flat(self):
         return self.arr.reshape(-1)
-
-    def is_zero(self):
-        return not self.arr.any()
 
     def __eq__(self, other):
         return (

@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -134,6 +136,13 @@ def span(mat, p, N):
     return vecs
 
 
+def kernel_by_enumeration(A, p, N):
+    """{x : x A = 0 mod p^N} by brute force."""
+    mod = p**N
+    return {x for x in product(range(mod), repeat=A.shape[0])
+            if not (np.array(x, dtype=np.int64) @ A % mod).any()}
+
+
 class TestHowell:
     def test_example(self):
         h, piv = arith.howell_array([[2], [3]], 2, 3)
@@ -179,6 +188,21 @@ class TestHowell:
             h2, _ = arith.howell_array(h, p, N)
             assert h.tolist() == h2.tolist()
 
+    def test_howell_property(self):
+        # for every column j, the rows with pivot column >= j span exactly
+        # the elements of span(A) that vanish before column j
+        rng = random.Random(17)
+        for _ in range(90):
+            p, N = rng.choice([(2, 2), (2, 3), (3, 2)])
+            r, c = rng.randrange(1, 4), rng.randrange(1, 4)
+            m = random_matrix(rng, r, c, p**N)
+            sp = span(m, p, N)
+            h, piv = arith.howell_array(m, p, N)
+            for j in range(c + 1):
+                tail = [h[row].tolist() for row, col, _ in piv if col >= j]
+                want = {v for v in sp if not any(v[:j])}
+                assert span(tail or [[0] * c], p, N) == want
+
     def test_membership(self):
         rng = random.Random(13)
         for _ in range(40):
@@ -194,24 +218,6 @@ class TestHowell:
 
 
 class TestSmith:
-    def test_transforms(self):
-        # U A = diag(p^a_i) V^-1 for an invertible V: row i of U A is p^a_i
-        # times a row with a unit entry, and the later rows are zero
-        rng = random.Random(21)
-        for _ in range(40):
-            p, N = rng.choice([(2, 3), (3, 3), (5, 2)])
-            mod = p**N
-            r, c = rng.randrange(1, 4), rng.randrange(1, 4)
-            A = np.array(random_matrix(rng, r, c, mod))
-            diag, U = arith.smith_diagonalize(A, p, N)
-            UA = (U @ A) % mod
-            for i, a in enumerate(diag):
-                assert (UA[i] % p**a == 0).all()
-                assert ((UA[i] // p**a) % p != 0).any()
-            assert not UA[len(diag):].any()
-            # U invertible: determinant a unit mod p
-            assert round(np.linalg.det(U % mod)) % p != 0
-
     def test_int64_guard_at_boundary(self):
         # dim products below 2^60 sum below 2^63 for dim = 7, not for 8
         arith.check_int64_sums(2**30, 7)
@@ -219,14 +225,44 @@ class TestSmith:
             arith.check_int64_sums(2**30, 8)
         # the elimination itself forms no such sums
         A = np.eye(8, dtype=np.int64)
-        assert arith.smith_diagonalize(A, 2, 30, False) == ([0] * 8, None)
+        assert arith.smith_diagonalize(A, 2, 30) == [0] * 8
 
     def test_kernel(self):
-        # left kernel rows annihilate A; kernel has the right size
-        A = np.array([[2, 0], [0, 4], [1, 1]])
-        K = arith.left_kernel(A, 2, 3)
-        for row in K:
-            assert (np.array(row) @ A % 8 == 0).all()
+        # the rows span all of {x : x A = 0}, not only a part of it
+        cases = [(np.array([[2, 0], [0, 4], [1, 1]]), 2, 3)]
+        rng = random.Random(27)
+        for _ in range(60):
+            p, N = rng.choice([(2, 2), (2, 3), (3, 2)])
+            r, c = rng.randrange(1, 4), rng.randrange(0, 4)
+            A = np.array(random_matrix(rng, r, c, p**N), dtype=np.int64)
+            cases.append((A.reshape(r, c), p, N))
+        for A, p, N in cases:
+            r = A.shape[0]
+            K = arith.left_kernel(A, p, N)
+            assert K.shape[1] == r
+            assert not (K @ A % p**N).any()
+            got = span(K.tolist() or [[0] * r], p, N)
+            assert got == kernel_by_enumeration(A, p, N)
+
+    def test_kernel_empty(self):
+        # no rows: the (0, 0) array; no columns: every x
+        assert arith.left_kernel(np.zeros((0, 3)), 2, 3).shape == (0, 0)
+        K = arith.left_kernel(np.zeros((2, 0)), 3, 2)
+        assert span(K.tolist(), 3, 2) == set(product(range(9), repeat=2))
+
+    def test_invariants_count_quotients(self):
+        # with Q = (Z/p^N)^c / span A, |Q / p^k Q| = prod min(p^k, d) over
+        # the invariants d, for each k; this fixes the invariants
+        rng = random.Random(35)
+        for _ in range(60):
+            p, N = rng.choice([(2, 2), (2, 3), (3, 2), (5, 1)])
+            r, c = rng.randrange(1, 4), rng.randrange(1, 4)
+            m = random_matrix(rng, r, c, p**N)
+            invs = arith.quotient_invariants(np.array(m), p, N)
+            sp = span(m, p, N)
+            for k in range(1, N + 1):
+                image = {tuple(x % p**k for x in v) for v in sp}
+                assert prod(min(p**k, d) for d in invs) == p**(k * c) // len(image)
 
     def test_quotient_invariants(self):
         assert arith.quotient_invariants(np.array([[2, 0], [0, 4]]), 2, 3) == [2, 4]

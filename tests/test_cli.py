@@ -58,6 +58,15 @@ class TestSubcommands:
                        "--p", "3", "--max", "100", "--mod", "1:12")
         assert text.splitlines() == [",".join(cli.CSV_COLUMNS)]
 
+    @pytest.mark.parametrize("mod", ["1:0", "12", "x:12", "1:-4", "1:2:3"])
+    def test_scan_rejects_malformed_mod(self, mod, capsys):
+        # a usage error (exit code 2), not a traceback from range() or int()
+        with pytest.raises(SystemExit) as exc:
+            run_cli("scan", "--kind", "quad", "--p", "3", "--max", "100",
+                    "--mod", mod)
+        assert exc.value.code == 2
+        assert "--mod" in capsys.readouterr().err
+
     def test_scan_rejects_long_without_flag(self):
         with pytest.raises(SystemExit):
             run_cli("scan", "--kind", "quad", "--p", "3", "--max", "20001")

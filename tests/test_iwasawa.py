@@ -46,12 +46,6 @@ class TestRingMake:
             assert one_plus_t**R.pn == R.one()
             assert R.T() * R.omega_over_t() == R.zero()
 
-    def test_one_plus_t_power(self):
-        R = ring_ex3()
-        g = R.one() + R.T()
-        for e in range(R.pn):
-            assert R.one_plus_t_power(e) == g**e
-
     def test_ring_shared(self):
         assert iw.ring_make(3, 2, 2, 3) is iw.ring_make(3, 2, 2, 3)
 
