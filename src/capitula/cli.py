@@ -22,7 +22,7 @@ from . import cycunits, fields, iwasawa, quadforms
 from . import criteria as cr
 from .arith import is_prime
 from .errors import (CapitulaError, InsufficientData, PrecisionTooLow,
-                     StabilizationFailure)
+                     RingMismatch, StabilizationFailure)
 
 CSV_COLUMNS = ("ell", "kind", "p", "class_part", "status", "kernel",
                "certificates", "timing_ms", "provenance")
@@ -105,7 +105,14 @@ def _cache_load(cache_dir, p, chi_order, chi_id=1):
     path = _cache_path(cache_dir, p, chi_order, chi_id)
     if not os.path.exists(path):
         return {}
-    return {rec.ell: rec for rec in cycunits.ingest_table(path, chi_id)}
+    records = cycunits.ingest_table(path, chi_id)
+    for rec in records:
+        if (rec.p, rec.chi_order) != (p, chi_order):
+            raise RingMismatch(
+                f"{path}: the line for ell={rec.ell} has p={rec.p} "
+                f"chi={rec.chi_order}, but the table holds p={p} "
+                f"chi={chi_order}")
+    return {rec.ell: rec for rec in records}
 
 
 def _cache_append(cache_dir, records):

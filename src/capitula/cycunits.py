@@ -1,16 +1,18 @@
-"""Cyclotomic units of Q(zeta_l)+ and the sampled computation of the ideal
-I with B(chi^-1) = O[[T]]/I, via discrete-log images modulo auxiliary
-primes q = 1 (mod l*p^N).
+"""The cyclotomic unit u = (zeta^g - zeta^-g)/(zeta - zeta^-1) of
+Q(zeta_l)+ (g the least primitive root mod l), whose Galois orbit generates
+the cyclotomic units modulo +-1 for prime l (Washington, Introduction to
+Cyclotomic Fields, Lemma 8.1), and the sampled computation of the ideal I
+with B(chi^-1) = O[[T]]/I, via discrete-log images modulo auxiliary primes
+q = 1 (mod l*p^N, doubled at p = 2).
 
-For each auxiliary prime q the fixed Galois generator
-u = (zeta^g - zeta^-g)/(zeta - zeta^-1) (g the least primitive root mod l)
-is mapped through F_q: its Galois orbit of discrete logs, projected to the
-chi-eigenspace, is one element lambda of the target ideal I.  I grows with
-q, one batch of 4 primes at a time, and is declared computed once 5
-consecutive batches add nothing: every new lambda already lies in I, which
-a membership test decides without an echelon.  Correctness is anchored
-to fixtures and to the quadratic class-group cross-check, not to a proof;
-records carry a Monte-Carlo-stabilized provenance flag.
+For each auxiliary prime q, u is mapped through F_q: its Galois orbit of
+discrete logs, projected to the chi-eigenspace, is one element lambda of
+the target ideal I.  I grows with q, one batch of 4 primes at a time, and
+is declared computed once 5 consecutive batches add nothing: every new
+lambda already lies in I, which a membership test decides without an
+echelon.  Correctness is anchored to fixtures and to the quadratic
+class-group cross-check, not to a proof; records carry a
+Monte-Carlo-stabilized provenance flag.
 """
 
 import os
@@ -24,8 +26,8 @@ from .arith import (check_int64_sums, howell_array, is_prime, p_power_dlogs,
                     p_valuation, primitive_root)
 from .errors import (BadAuxPrime, ChiOrderNotCoprime, ParseError,
                      PrecisionTooLow, RingMismatch, StabilizationFailure)
-from .iwasawa import (EigenRing, RingIdeal, _min_scalar_level, ideal_make,
-                      parse_element, render_element, ring_make)
+from .iwasawa import (EigenRing, RingIdeal, ideal_make, parse_element,
+                      render_element, ring_make)
 
 # Convention pinned by the worked-example fixtures: with the group-algebra
 # element carrying dlog(sigma^e u) on [sigma^-e], the eigenspace projection
@@ -36,58 +38,16 @@ _SIGMA_SIGN = 1
 _CHI_SIGN = -1
 
 
-@dataclass(frozen=True)
-class CyclotomicUnitSymbol:
-    """A product prod_a ((zeta^a - zeta^-a)/(zeta - zeta^-1))^e_a."""
-
-    ell: int
-    exps: tuple  # sorted tuple of (a, e), 1 <= a <= (ell-1)/2, e != 0
-
-    @staticmethod
-    def make(ell, exps):
-        merged = {}
-        for a, e in dict(exps).items():
-            a %= ell
-            if a == 0 or e == 0:
-                if a == 0:
-                    raise ValueError("a must be prime to ell")
-                continue
-            a = min(a, ell - a)
-            if a == 1:
-                continue  # (zeta - zeta^-1)/(zeta - zeta^-1) = 1
-            merged[a] = merged.get(a, 0) + e
-        return CyclotomicUnitSymbol(
-            ell, tuple(sorted((a, e) for a, e in merged.items() if e))
-        )
-
-    @staticmethod
-    def generator(ell):
-        """The standard Galois generator: a = least primitive root mod ell,
-        divided by the a = 1 base element."""
-        g = primitive_root(ell)
-        return CyclotomicUnitSymbol.make(ell, {g: 1})
-
-    def apply(self, b):
-        """The Galois action of sigma_b (zeta -> zeta^b): each base element
-        (zeta^a - zeta^-a)/(zeta - zeta^-1) maps to the quotient of the base
-        elements for ab and b."""
-        exps = {}
-        total = 0
-        for a, e in self.exps:
-            key = (a * b) % self.ell
-            exps[key] = exps.get(key, 0) + e
-            total += e
-        exps[b % self.ell] = exps.get(b % self.ell, 0) - total
-        return CyclotomicUnitSymbol.make(self.ell, exps)
+def _aux_modulus(ell, p, N):
+    """The modulus m of the auxiliary primes q = 1 (mod m): ell * p^N,
+    doubled at p = 2 so that -1 is a p^N-th power mod q and the discrete
+    logs are well defined on units modulo +-1."""
+    return ell * p**N * (2 if p == 2 else 1)
 
 
 def _aux_prime_stream(ell, p, n_prec):
-    """Primes q = 1 (mod ell * p^n_prec), ascending; for p = 2 also
-    q = 1 (mod 2^(n_prec+1)) so that -1 is a p^n_prec-th power and the
-    discrete logs are well defined on units modulo +-1."""
-    step = ell * p**n_prec
-    if p == 2:
-        step *= 2
+    """The primes q = 1 (mod _aux_modulus(ell, p, n_prec)), ascending."""
+    step = _aux_modulus(ell, p, n_prec)
     q = 1
     while True:
         q += step
@@ -95,58 +55,36 @@ def _aux_prime_stream(ell, p, n_prec):
             yield q
 
 
-def _s_table(ell, p, N, q):
-    """s[a] = dlog_w of (rho^a - rho^-a)/(rho - rho^-1) mod p^N for
-    1 <= a <= (l-1)/2, w the least primitive root mod q, rho = w^((q-1)/l).
+def unit_image_mod_q(ell, q, p, N):
+    """The group-algebra image of u = (zeta^g - zeta^-g)/(zeta - zeta^-1),
+    g the least primitive root mod ell: the vector v with v[e] the
+    coefficient of sigma^(-e) = dlog_q of sigma^e(u) mod p^N, sigma = sigma_g
+    the fixed generator of Gal(Q(zeta_l)+/Q).  Deterministic given (q,
+    least primitive roots).
 
-    Raising to (q-1)/p^N maps each value into the order-p^N subgroup that
-    g = w^((q-1)/p^N) generates, where arith.p_power_dlogs reads its dlog
-    to base g: that is the dlog_w mod p^N.  Well defined on a mod +-1 by
-    the choice of q (for p = 2 the sign contributes (q-1)/2 = 0 mod p^N)."""
-    pe = p**N
-    if (q - 1) % (ell * pe):
-        raise BadAuxPrime(f"q = {q} is not 1 mod ell*p^{N}")
+    With rho = w^((q-1)/ell) (w the least primitive root mod q) and
+    d(b) = rho^b - rho^-b, sigma^e(u) = d(g^(e+1)) / d(g^e): its dlog is
+    the difference of the dlogs of d along the orbit b = g^e.  Raising to
+    (q-1)/p^N maps each d(b) into the order-p^N subgroup that
+    w^((q-1)/p^N) generates, where arith.p_power_dlogs reads its dlog_w mod
+    p^N.  (q-1)/p^N is even, so the sign of d(b), and d(g^half) = -d(1),
+    cost nothing."""
+    m = _aux_modulus(ell, p, N)
+    if (q - 1) % m:
+        raise BadAuxPrime(f"q = {q} is not 1 mod {m}")
     w = primitive_root(q)
-    exp = (q - 1) // pe
-    rho = pow(w, (q - 1) // ell, q)
+    exp = (q - 1) // p**N
+    g = primitive_root(ell)
     half = (ell - 1) // 2
-    rpow = [1] * ell
-    for i in range(1, ell):
-        rpow[i] = rpow[i - 1] * rho % q
-    den_inv = pow(rpow[1] - rpow[ell - 1], q - 2, q)
-    values = [pow((rpow[a] - rpow[ell - a]) * den_inv % q, exp, q)
-              for a in range(1, half + 1)]
-    out = p_power_dlogs(values, pow(w, exp, q), q, p, N)
-    out.insert(0, 0)
-    return out
-
-
-def unit_image_mod_q(u: CyclotomicUnitSymbol, q, p, N):
-    """The group-algebra image of u: the vector v with v[e] the coefficient
-    of sigma^(-e) = dlog_q of sigma^e(u) mod p^N, sigma the fixed generator
-    of Gal(Q(zeta_l)+/Q).  Deterministic given (q, least primitive roots).
-    """
-    ell = u.ell
-    if p == 2 and (q - 1) % (ell * 2 ** (N + 1)):
-        raise BadAuxPrime(f"q = {q} leaves the sign of units visible at p=2")
-    s = np.array(_s_table(ell, p, N, q), dtype=np.int64)
-    half = (ell - 1) // 2
-    g0 = primitive_root(ell)
-    orbit = [1] * half  # b = g0^e mod ell
-    for e in range(1, half):
-        orbit[e] = orbit[e - 1] * g0 % ell
-    b = np.array(orbit, dtype=np.int64)
-
-    def s_of(a):
-        a = a % ell
-        return s[np.minimum(a, ell - a)]
-
-    # sigma_b(u) expands into base elements via apply(); its dlog is
-    # sum_a e_a * (s(ab) - s(b)), and it sits at index -e
-    t = -sum(exp for _, exp in u.exps) * s_of(b)
-    for a, exp in u.exps:
-        t += exp * s_of(a * b)
-    return t[-np.arange(half) % half] % p**N
+    x = pow(w, (q - 1) // ell, q)  # rho^b and rho^-b along b = g^e
+    y = pow(x, -1, q)
+    values = []
+    for _ in range(half):
+        values.append(pow(x - y, exp, q))
+        x, y = pow(x, g, q), pow(y, g, q)
+    dl = np.array(p_power_dlogs(values, pow(w, exp, q), q, p, N),
+                  dtype=np.int64)
+    return (np.roll(dl, -1) - dl)[-np.arange(half) % half] % p**N
 
 
 def _chi_projector(ring, half, chi_id):
@@ -259,7 +197,6 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
             precisions.append(2 * precisions[-1])
     else:
         precisions = [N]
-    u = CyclotomicUnitSymbol.generator(ell)
     for N in precisions:
         n_work = max(N, min(N + 2, _max_precision(p)))
         R_work = ring_make(p, n, chi_order, n_work)
@@ -273,7 +210,7 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
             for _ in range(4):
                 q = next(stream)
                 used.append(q)
-                lams.append(project(unit_image_mod_q(u, q, p, n_work)))
+                lams.append(project(unit_image_mod_q(ell, q, p, n_work)))
             # I is an R-ideal, so it holds the orbit of each lambda exactly
             # when it holds lambda: a batch inside I leaves it unchanged
             if I is not None and all(I.contains(lam) for lam in lams):
@@ -290,8 +227,9 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
                 f"ell={ell}"
             )
         # certified p-power scalar level, read off the working-precision
-        # span (at precision N the scalar p^N itself reduces to zero)
-        scalar_val = _min_scalar_level(I.howell, I.pivots, R_work)
+        # span (at precision N the scalar p^N itself reduces to zero); no
+        # sampled lambda is an integer, so grow read it off the Howell form
+        scalar_val = I.scalar_level
         if scalar_val is not None and scalar_val <= N:
             break
     else:
@@ -359,6 +297,10 @@ def ingest_table(path, chi_id=1):
             )
             try:
                 ring = rec.ring()
+                if n != tower_exponent(ell, p):
+                    raise RingMismatch(
+                        f"line {lineno}: n={n}, but the tower exponent of "
+                        f"ell={ell} at p={p} is {tower_exponent(ell, p)}")
                 for g in gens:
                     if not re.fullmatch(r"\s*-?\d+\s*", g):
                         parse_element(ring, g, lineno)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .arith import is_prime, primitive_root
 from .errors import (DegreeTooLarge, NotCoprimeDegrees, NotDividing,
                      NotPrime)
-from .iwasawa import _factor_mod_p, _poly_gcd, _poly_trim
+from .iwasawa import _factor_mod_p, _poly_gcdext, _poly_trim
 
 MAX_DEGREE = 16
 
@@ -53,7 +53,7 @@ def _irreducible_mod_some_prime(coeffs, ell, tries=200):
             q += 1
         red = [c % q for c in coeffs]
         deriv = _poly_trim([i * c % q for i, c in enumerate(red)][1:])
-        if red[-1] and deriv and len(_poly_gcd(red, deriv, q)) == 1:
+        if red[-1] and deriv and len(_poly_gcdext(red, deriv, q)[0]) == 1:
             # squarefree mod q, so the factorization is meaningful
             factors = _factor_mod_p(red, q)
             if len(factors) == 1:

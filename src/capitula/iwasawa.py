@@ -123,16 +123,6 @@ def _poly_pow_mod(a, e, g, p):
     return out
 
 
-def _poly_gcd(a, b, p):
-    a, b = [x % p for x in a], [x % p for x in b]
-    while _poly_trim(list(b)):
-        _, r = _poly_divmod(a, _poly_scale(b, pow(b[-1], -1, p), p), p)
-        a, b = b, r
-    if not a:
-        return []
-    return _poly_scale(a, pow(a[-1], -1, p), p)
-
-
 def _factor_mod_p(poly, p):
     """Monic irreducible factors of a squarefree monic polynomial mod p:
     distinct-degree splitting followed by deterministic equal-degree trials.
@@ -148,7 +138,7 @@ def _factor_mod_p(poly, p):
             break
         xq = _poly_pow_mod(xq, p, f, p)
         diff = _poly_add(xq, [0, -1 % p], p)
-        g = _poly_gcd(f, diff, p)
+        g = _poly_gcdext(f, diff, p)[0]
         if len(g) > 1:
             factors.extend(_equal_degree_split(g, d, p))
             f = _poly_divmod(f, g, p)[0]
@@ -177,7 +167,7 @@ def _equal_degree_split(f, d, p):
             cand = _poly_add(_poly_pow_mod(a, (p**d - 1) // 2, f, p), [-1 % p], p)
         if not cand:
             continue
-        g = _poly_gcd(f, cand, p)
+        g = _poly_gcdext(f, cand, p)[0]
         if 0 < len(g) - 1 < len(f) - 1:
             return _equal_degree_split(g, d, p) + _equal_degree_split(
                 _poly_divmod(f, g, p)[0], d, p

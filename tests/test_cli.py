@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from capitula import cli, cycunits
+from capitula.errors import RingMismatch
 
 SHIPPED = Path(__file__).resolve().parent.parent / ".scan_cache"
 
@@ -191,6 +192,18 @@ class TestScans:
         recs = cli._cache_load(cache, 7, 3, 2)
         assert len(recs) == 611
         assert all(r.chi_id == 2 for r in recs.values())
+
+    @pytest.mark.parametrize("line", [
+        "ell=2089 p=5 chi=2 n=0 prec=3 gens=[1]",
+        "ell=2089 p=3 chi=4 n=2 prec=5 gens=[1]"], ids=["p5", "chi4"])
+    def test_cache_rejects_line_of_another_table(self, tmp_path, line):
+        # classify would read the record in its own ring: the p = 5 line
+        # for 2089 in the p = 3 table is classified at p = 5
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "fitting_p3_chi2.txt").write_text(line + "\n")
+        with pytest.raises(RingMismatch, match="ell=2089"):
+            cli.scan_quadratic(3, 2089, 12, 2090, cache=str(cache))
 
     def test_warm_scan_reads_each_table_once(self, tmp_path, monkeypatch):
         cache = shipped_cache(tmp_path)

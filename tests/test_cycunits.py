@@ -1,5 +1,4 @@
 import math
-import random
 
 import numpy as np
 import pytest
@@ -47,98 +46,45 @@ def projection_by_entries(ring, vec, chi_id):
     return ring.from_vector(arr.reshape(-1))
 
 
-def s_table_by_dict(ell, p, N, q):
-    """Reference s_table: a dict of all p^N powers of g = w^((q-1)/p^N),
-    and one lookup per (rho^a - rho^-a)/(rho - rho^-1) raised into <g>."""
+def unit_image_by_dict(ell, p, N, q):
+    """Reference unit image from the definition: for each e, sigma^e(u) =
+    d(g^(e+1)) * d(g^e)^-1 in F_q with d(b) = rho^b - rho^-b, raised into
+    <w^((q-1)/p^N)> and looked up in a dict of all p^N of its powers; it
+    sits at index -e."""
     exp = (q - 1) // p**N
     w = primitive_root(q)
-    g = pow(w, exp, q)
+    gen = pow(w, exp, q)
     dlog = {}
-    e = 1
+    x = 1
     for i in range(p**N):
-        dlog[e] = i
-        e = e * g % q
+        dlog[x] = i
+        x = x * gen % q
     rho = pow(w, (q - 1) // ell, q)
-    den_inv = pow(rho - pow(rho, -1, q), -1, q)
-    out = [0]
-    for a in range(1, (ell - 1) // 2 + 1):
-        v = (pow(rho, a, q) - pow(rho, -a, q)) * den_inv % q
-        out.append(dlog[pow(v, exp, q)])
+    g = primitive_root(ell)
+    half = (ell - 1) // 2
+
+    def d(b):
+        return pow(rho, b, q) - pow(rho, -b, q)
+
+    out = [0] * half
+    for e in range(half):
+        b = pow(g, e, ell)
+        unit = d(b * g) * pow(d(b), -1, q) % q
+        out[-e % half] = dlog[pow(unit, exp, q)]
     return out
 
 
-class TestSymbols:
-    def test_make_canonicalizes(self):
-        s = cu.CyclotomicUnitSymbol.make(13, {2: 1, 11: 2, 5: -1})
-        # 11 = -2 mod 13 folds onto 2
-        assert s.exps == ((2, 3), (5, -1))
-
-    def test_zero_exponents_dropped(self):
-        s = cu.CyclotomicUnitSymbol.make(13, {2: 1, 11: -1})
-        assert s.exps == ()
-
-    def test_a_zero_rejected(self):
-        with pytest.raises(ValueError):
-            cu.CyclotomicUnitSymbol.make(13, {13: 1})
-
-    def test_generator(self):
-        s = cu.CyclotomicUnitSymbol.generator(13)
-        assert s.exps == ((2, 1),)
-
-    def test_apply_identity(self):
-        s = cu.CyclotomicUnitSymbol.generator(13)
-        assert s.apply(1) == s
-
-    def test_apply_composes(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            ell = 13
-            s = cu.CyclotomicUnitSymbol.make(
-                ell, {rng.randrange(1, ell): rng.randrange(-2, 3) for _ in range(3)}
-            )
-            a = rng.randrange(1, ell)
-            b = rng.randrange(1, ell)
-            assert s.apply(a).apply(b) == s.apply(a * b % ell)
-
-
 class TestUnitImage:
-    def test_trivial_symbol_is_zero(self):
-        q = aux_primes(13, 3, 2, 1)[0]
-        u = cu.CyclotomicUnitSymbol.make(13, {})
-        assert not cu.unit_image_mod_q(u, q, 3, 2).any()
-
     def test_bad_aux_prime(self):
-        u = cu.CyclotomicUnitSymbol.generator(13)
         with pytest.raises(BadAuxPrime):
-            cu.unit_image_mod_q(u, 11, 3, 2)
+            cu.unit_image_mod_q(13, 11, 3, 2)
 
     def test_bad_aux_prime_sign_at_two(self):
         # q = 1 mod 13*4 but not mod 13*8: sign of units still visible
-        u = cu.CyclotomicUnitSymbol.generator(13)
         q = 157  # 157 - 1 = 12*13, divisible by 13*4 but not 13*8
         assert (q - 1) % (13 * 4) == 0 and (q - 1) % (13 * 8) != 0
         with pytest.raises(BadAuxPrime):
-            cu.unit_image_mod_q(u, q, 2, 2)
-
-    def test_galois_equivariance(self):
-        # image of sigma^k(u) is the k-step cyclic shift of image of u
-        rng = random.Random(7)
-        ell, p, N = 13, 3, 2
-        half = (ell - 1) // 2
-        g0 = 2
-        qs = aux_primes(ell, p, N, 5)
-        for _ in range(50):
-            u = cu.CyclotomicUnitSymbol.make(
-                ell, {rng.randrange(1, ell): rng.randrange(-2, 3) for _ in range(3)}
-            )
-            k = rng.randrange(half)
-            q = rng.choice(qs)
-            v = cu.unit_image_mod_q(u, q, p, N)
-            w = cu.unit_image_mod_q(u.apply(pow(g0, k, ell)), q, p, N)
-            # v[-e] = dlog(sigma^e u), so sigma^k shifts the index by k
-            assert all(
-                w[(-e) % half] == v[(-(e + k)) % half] for e in range(half)
-            )
+            cu.unit_image_mod_q(13, q, 2, 2)
 
     def test_projection_int64_guard(self):
         # p^N = 2^30 and D = 1: the binomial expansion sums p^n products,
@@ -161,27 +107,25 @@ class TestUnitImage:
         R = iw.ring_make(p, n, chi_order, n_work)
         half = (ell - 1) // 2
         project = cu._chi_projector(R, half, chi_id)
-        u = cu.CyclotomicUnitSymbol.generator(ell)
         for q in aux_primes(ell, p, n_work, 4):
-            vec = cu.unit_image_mod_q(u, q, p, n_work)
+            vec = cu.unit_image_mod_q(ell, q, p, n_work)
             assert project(vec) == projection_by_entries(R, vec, chi_id)
 
     @pytest.mark.parametrize("ell, p, count", [
         (2917, 3, 4), (2857, 3, 4), (211, 7, 4), (7351, 7, 1), (7681, 2, 4),
         (401, 5, 4)])
-    def test_s_table_matches_dict(self, ell, p, count):
+    def test_image_matches_dict(self, ell, p, count):
         # at the working precision; 2857 and 7681 read one dlog digit, the
         # others two
         n_work = min(cu.tower_exponent(ell, p) + 5, cu._max_precision(p))
         for q in aux_primes(ell, p, n_work, count):
-            assert (cu._s_table(ell, p, n_work, q)
-                    == s_table_by_dict(ell, p, n_work, q))
+            assert (cu.unit_image_mod_q(ell, q, p, n_work).tolist()
+                    == unit_image_by_dict(ell, p, n_work, q))
 
     def test_image_is_deterministic(self):
-        u = cu.CyclotomicUnitSymbol.generator(13)
         q = aux_primes(13, 3, 2, 1)[0]
-        a = cu.unit_image_mod_q(u, q, 3, 2)
-        b = cu.unit_image_mod_q(u, q, 3, 2)
+        a = cu.unit_image_mod_q(13, q, 3, 2)
+        b = cu.unit_image_mod_q(13, q, 3, 2)
         assert (a == b).all()
 
 
@@ -237,20 +181,22 @@ class TestComputeFittingIdeal:
                                                tried_want, N_want):
         # no scalar is certified below working precision `threshold`: each
         # lower N fails and is doubled, up to the cap (working precision
-        # 18 = _max_precision(3)); a requested N is never doubled
-        certify = cu._min_scalar_level
+        # 18 = _max_precision(3)); a requested N is never doubled.  Each
+        # precision samples the unit ideal in one growth; extraction grows
+        # once more, at the final N
+        certify = iw._min_scalar_level
         tried = []
 
         def late(H, piv, R):
             tried.append(R.N)
             return certify(H, piv, R) if R.N >= threshold else None
 
-        monkeypatch.setattr(cu, "_min_scalar_level", late)
+        monkeypatch.setattr(iw, "_min_scalar_level", late)
         rec = cu.compute_fitting_ideal(13, 3, 2)
-        assert tried == tried_want and rec.N == N_want
+        assert tried == tried_want + [N_want] and rec.N == N_want
         with pytest.raises(PrecisionTooLow):
             cu.compute_fitting_ideal(13, 3, 2, N=4)
-        monkeypatch.setattr(cu, "_min_scalar_level", certify)
+        monkeypatch.setattr(iw, "_min_scalar_level", certify)
         assert rec == cu.compute_fitting_ideal(13, 3, 2, N=N_want)
 
     @pytest.mark.parametrize(
@@ -360,9 +306,10 @@ class TestTables:
         assert iw.eigenspace_class_order(R, recs[0].ideal()) == 3
 
     def test_ingest_level_zero_line(self, tmp_path):
-        # n = 0: T = omega_0 vanishes in R, so T+1 generates the unit ideal
+        # n = 0 (7 does not divide (37-1)/2): T = omega_0 vanishes in R,
+        # so T+1 generates the unit ideal
         path = tmp_path / "t.txt"
-        path.write_text("ell=43 p=7 chi=3 n=0 prec=3 gens=[T+1,7]\n")
+        path.write_text("ell=37 p=7 chi=3 n=0 prec=3 gens=[T+1,7]\n")
         (rec,) = cu.ingest_table(path)
         R = rec.ring()
         assert rec.ideal(R) == iw.ideal_make(R, ["1"])
@@ -384,6 +331,18 @@ class TestTables:
         path = tmp_path / "bad.txt"
         path.write_text("ell=2089 p=3 chi=2 n=2 prec=3 gens=[T-3, T**]\n")
         with pytest.raises(ParseError):
+            cu.ingest_table(path)
+
+    @pytest.mark.parametrize("line", [
+        "ell=229 p=3 chi=2 n=0 prec=4 gens=[T,3]",
+        "ell=1129 p=3 chi=2 n=2 prec=4 gens=[T,9]"], ids=["229n0", "1129n2"])
+    def test_ingest_rejects_wrong_tower_exponent(self, tmp_path, line):
+        # the shipped lines have n = 1: a line in another ring would change
+        # the verdict (229: full with n = 1, none with n = 0)
+        path = tmp_path / "bad.txt"
+        path.write_text("ell=2089 p=3 chi=2 n=2 prec=5 gens=[T-3,27]\n"
+                        + line + "\n")
+        with pytest.raises(RingMismatch, match="line 2"):
             cu.ingest_table(path)
 
     def test_ring_mismatch(self, tmp_path):
