@@ -21,8 +21,8 @@ from math import prod
 from . import cycunits, fields, iwasawa, quadforms
 from . import criteria as cr
 from .arith import is_prime
-from .errors import (CapitulaError, InsufficientData, PrecisionTooLow,
-                     RingMismatch, StabilizationFailure)
+from .errors import (CapitulaError, ChiOrderNotCoprime, InsufficientData,
+                     PrecisionTooLow, RingMismatch, StabilizationFailure)
 
 CSV_COLUMNS = ("ell", "kind", "p", "class_part", "status", "kernel",
                "certificates", "timing_ms", "provenance")
@@ -201,15 +201,20 @@ def _merge_verdicts(verdicts, invs):
 
 
 def _scan_cubic_one(args):
-    """As _scan_quadratic_one, for the cyclic cubic field of conductor ell."""
+    """As _scan_quadratic_one, for the cyclic cubic field of conductor ell.
+    The chi ids that the cache misses are sampled in one run."""
     ell, p, cached = args  # cached: {chi id: record or None}
     started = time.monotonic()
     field = cr.cyclic_cubic_field(ell)
     fresh = []
     try:
+        missing = [cid for cid, hit in cached.items() if hit is None]
+        if missing:
+            fresh = cycunits.compute_fitting_ideals(ell, p, 3, missing)
+        computed = {rec.chi_id: rec for rec in fresh}
         invs, verdicts = [], []
         for cid, hit in cached.items():
-            rec = _fitting(ell, p, 3, hit, fresh, chi_id=cid)
+            rec = hit if hit is not None else computed[cid]
             R = rec.ring()
             inv = iwasawa.eigenspace_class_invariants(R, rec.ideal(R))
             if inv:
@@ -405,8 +410,16 @@ def _build_parser():
 
 def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     cache = args.cache or cycunits.cache_dir()
+
+    if args.command in ("fitting", "export"):
+        try:
+            cycunits.check_characters(args.ell, args.p, args.chi,
+                                      (args.chi_id,))
+        except (ValueError, ChiOrderNotCoprime) as exc:
+            parser.error(str(exc))
 
     if args.command == "classgroup":
         g = quadforms.class_group(args.disc)

@@ -13,10 +13,21 @@ lambda already lies in I, which a membership test decides without an
 echelon.  Correctness is anchored to fixtures and to the quadratic
 class-group cross-check, not to a proof; records carry a
 Monte-Carlo-stabilized provenance flag.
+
+The unit ideal needs no stopping rule.  O is unramified and omega_n =
+T^(p^n) mod p, so R is local with maximal ideal (p, T), and I = R exactly
+when some sampled lambda lies outside (p, T) (Washington, Section 7.1).
+Until I first grows, that is decided mod p from the orbit of u in F_q,
+with one power per O/p-coordinate, and only a batch whose lambdas all lie
+in (p, T) computes full dlogs, projections and the growth of I; later
+batches compute their images anyway and read the decision off the lambdas.
+The chi ids of one conductor share one walk of the auxiliary primes, in
+lockstep batches, so each q maps u through F_q once for all of them.
 """
 
 import os
 import re
+from array import array
 from dataclasses import dataclass
 from math import gcd
 
@@ -55,6 +66,39 @@ def _aux_prime_stream(ell, p, n_prec):
             yield q
 
 
+def _orbit(ell):
+    """The orbit b = g^e mod ell, e < (ell-1)/2, of the least primitive
+    root g mod ell: one exponent of rho per element of Gal(Q(zeta_l)+/Q)."""
+    g = primitive_root(ell)
+    orbit = [1]
+    for _ in range((ell - 1) // 2 - 1):
+        orbit.append(orbit[-1] * g % ell)
+    return orbit
+
+
+def _orbit_values(ell, q, orbit):
+    """(w, d) with w the least primitive root mod q and d[e] = rho^b -
+    rho^-b at b = orbit[e], rho = w^((q-1)/ell), an integer in (-q, q) read
+    off a table of the ell powers of rho."""
+    w = primitive_root(q)
+    rho = pow(w, (q - 1) // ell, q)
+    powers = [1] * ell
+    x = 1
+    for k in range(1, ell):
+        x = x * rho % q
+        powers[k] = x
+    return w, [powers[b] - powers[ell - b] for b in orbit]
+
+
+def _image(w, d, q, p, N):
+    """The unit image (see unit_image_mod_q) from the orbit values d."""
+    half = len(d)
+    exp = (q - 1) // p**N
+    dl = np.array(p_power_dlogs([pow(x, exp, q) for x in d], pow(w, exp, q),
+                                q, p, N), dtype=np.int64)
+    return (np.roll(dl, -1) - dl)[-np.arange(half) % half] % p**N
+
+
 def unit_image_mod_q(ell, q, p, N):
     """The group-algebra image of u = (zeta^g - zeta^-g)/(zeta - zeta^-1),
     g the least primitive root mod ell: the vector v with v[e] the
@@ -72,51 +116,70 @@ def unit_image_mod_q(ell, q, p, N):
     m = _aux_modulus(ell, p, N)
     if (q - 1) % m:
         raise BadAuxPrime(f"q = {q} is not 1 mod {m}")
-    w = primitive_root(q)
-    exp = (q - 1) // p**N
-    g = primitive_root(ell)
-    half = (ell - 1) // 2
-    x = pow(w, (q - 1) // ell, q)  # rho^b and rho^-b along b = g^e
-    y = pow(x, -1, q)
-    values = []
-    for _ in range(half):
-        values.append(pow(x - y, exp, q))
-        x, y = pow(x, g, q), pow(y, g, q)
-    dl = np.array(p_power_dlogs(values, pow(w, exp, q), q, p, N),
-                  dtype=np.int64)
-    return (np.roll(dl, -1) - dl)[-np.arange(half) % half] % p**N
+    w, d = _orbit_values(ell, q, _orbit(ell))
+    return _image(w, d, q, p, N)
 
 
-def _chi_projector(ring, half, chi_id):
+class _ChiProjector:
     """The projection of group-algebra vectors (index e over the half powers
-    of sigma) into the eigenring, as a function of the vector: sigma^e ->
-    chi(delta0)^(s*y) (1+T)^(s*x) with s the pinned sign, sigma^e =
-    pi0^x delta0^y.  It depends only on l, the ring and chi_id, so a
-    conductor builds it once for all its auxiliary primes."""
-    pn, m, mod = ring.pn, ring.chi_order, ring.mod
-    D = half // pn
-    check_int64_sums(mod, max(pn, m))
-    # the (x, zeta power) cell of each sigma^e in the pn x m grid
-    es = _SIGMA_SIGN * np.arange(half, dtype=np.int64) % half
-    x = es * pow(D, -1, pn) % pn
-    y = es * pow(pn, -1, D) % D
-    cell = x * m + _CHI_SIGN * chi_id * y % m
-    # expand (1+T)^x via binomials, then zeta powers in the O-basis
-    binomials_t = ring.binomials()[:pn, :pn].T
-    zpow = np.zeros((m, ring.f), dtype=np.int64)
-    cur = ring.one()
-    for zi in range(m):
-        zpow[zi] = cur.arr[0]
-        cur = cur.mul_zeta()
+    of sigma) into the eigenring: sigma^e -> chi(delta0)^(s*y) (1+T)^(s*x)
+    with s the pinned sign, sigma^e = pi0^x delta0^y.  It depends only on
+    l, the ring and chi_id, so a conductor builds it once per precision."""
 
-    def project(vec):
-        c = np.zeros(pn * m, dtype=np.int64)
-        np.add.at(c, cell, vec)
-        c = c.reshape(pn, m) % mod
-        arr = (binomials_t @ c % mod) @ zpow % mod
+    def __init__(self, ring, half, chi_id):
+        pn, m, mod, p = ring.pn, ring.chi_order, ring.mod, ring.p
+        D = half // pn
+        check_int64_sums(mod, max(pn, m))
+        self.ring = ring
+        # the (x, zeta power) cell of each sigma^e in the pn x m grid
+        es = _SIGMA_SIGN * np.arange(half, dtype=np.int64) % half
+        x = es * pow(D, -1, pn) % pn
+        y = es * pow(pn, -1, D) % D
+        self.cell = x * m + _CHI_SIGN * chi_id * y % m
+        # expand (1+T)^x via binomials, then zeta powers in the O-basis
+        self.binomials_t = ring.binomials()[:pn, :pn].T
+        self.zpow = np.zeros((m, ring.f), dtype=np.int64)
+        cur = ring.one()
+        for zi in range(m):
+            self.zpow[zi] = cur.arr[0]
+            cur = cur.mul_zeta()
+        # The constant row of the projected image is sum_i dl[i] * wt[i]
+        # over the dlogs dl[i] of d(g^i) (unit_image_mod_q), with wt[i] =
+        # z((1-i) mod half) - z(-i mod half) and z(e) the O-coordinates of
+        # the zeta power of cell e.  For each coordinate, the indices i of
+        # each weight p-1, ..., 1 (mod p).
+        z = self.zpow[self.cell % m] % p
+        i = np.arange(half)
+        wt = (z[(1 - i) % half] - z[-i % half]) % p
+        self.unit_weights = [[np.flatnonzero(col == r).tolist()
+                              for r in range(p - 1, 0, -1)] for col in wt.T]
+
+    def __call__(self, vec):
+        ring, mod = self.ring, self.ring.mod
+        c = np.zeros(ring.pn * ring.chi_order, dtype=np.int64)
+        np.add.at(c, self.cell, vec)
+        c = c.reshape(ring.pn, ring.chi_order) % mod
+        arr = (self.binomials_t @ c % mod) @ self.zpow % mod
         return ring.from_vector(arr.reshape(-1))
 
-    return project
+    def is_unit(self, d, q):
+        """Whether lambda, the projected image of the orbit values d mod q,
+        lies outside (p, T), i.e. is a unit of the local ring R.  Its
+        constant row mod p is the dlog of (prod_i d[i]^wt[i])^((q-1)/p) in
+        the order-p subgroup, so lambda is a unit exactly when one of these
+        f powers is not 1; (q-1)/p is even, so the signs of d cancel."""
+        e = (q - 1) // self.ring.p
+        for groups in self.unit_weights:
+            # prod over r of (prod of d[i] with wt[i] = r)^r, as a product
+            # of the running products from the top weight down
+            run = acc = 1
+            for idx in groups:
+                for i in idx:
+                    run = run * d[i] % q
+                acc = acc * run % q
+            if pow(acc, e, q) != 1:
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -172,24 +235,54 @@ def _extract_generators(R, howell_rows, scalar_val):
 _MAX_BATCHES = 60  # batches of 4 auxiliary primes before giving up
 
 
-def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
-                          N=None) -> FittingIdealRecord:
-    """Sample the ideal I with B(chi^-1) = O[[T]]/(I, p^N) for the degree-
-    chi_order character of conductor ell.
-
-    The run succeeds once 5 consecutive batches of 4 auxiliary primes add
-    nothing, meaning every new unit image already lies in I (or once I is
-    the unit ideal, which is definitive since sampling only grows it).  Without N, the
-    precision starts at n + 3 and doubles, up to the cap, while the
-    certified scalar exceeds it.
-    """
+def check_characters(ell, p, chi_order, chi_ids):
+    """Raise unless ell is prime, chi_order is prime to p and divides
+    (ell-1)/2, and each chi id names a character of exact order chi_order,
+    i.e. is prime to it."""
     if not is_prime(ell):
         raise ValueError(f"{ell} must be prime")
     if gcd(chi_order, p) != 1:
         raise ChiOrderNotCoprime(f"chi order {chi_order} not coprime to {p}")
-    half = (ell - 1) // 2
-    if half % chi_order:
+    if ((ell - 1) // 2) % chi_order:
         raise ValueError("chi_order must divide (ell-1)/2")
+    for chi_id in chi_ids:
+        if gcd(chi_id, chi_order) != 1:
+            raise ValueError(f"chi id {chi_id} is not prime to the chi order "
+                             f"{chi_order}: not a character of that order")
+
+
+class _Sampling:
+    """One chi id's ideal at one precision, grown batch by batch."""
+
+    def __init__(self, project):
+        self.project = project
+        self.I = None
+        self.stable = 0
+        self.aux = 0  # aux primes drawn
+        self.unit = False
+
+
+def compute_fitting_ideals(ell, p, chi_order, chi_ids,
+                           N=None) -> list:
+    """Sample the ideals I with B(chi^-1) = O[[T]]/(I, p^N) for the degree-
+    chi_order characters chi_ids of conductor ell: one record per chi id.
+
+    The chi ids share one walk of the auxiliary primes: at each precision,
+    every batch of 4 primes maps u through F_q once, for all chi ids still
+    sampling.  R is local with maximal ideal (p, T) (O is unramified and
+    omega_n = T^(p^n) mod p), so I is the unit ideal exactly when some
+    lambda lies outside (p, T).  Until a chi id first grows I, that is
+    decided mod p from the orbit values, and only a batch without such a
+    lambda computes full dlogs, the projection and the growth of I; after
+    that, the images are computed anyway and the lambdas show it.  A chi
+    id's run succeeds once 5 consecutive batches add nothing, meaning every
+    new unit image already lies in I (or once I is the unit ideal, which is
+    definitive since sampling only grows it).  Without N, the precision
+    starts at n + 3 and doubles, up to the cap, while the certified scalar
+    exceeds it.
+    """
+    check_characters(ell, p, chi_order, chi_ids)
+    half = (ell - 1) // 2
     n = tower_exponent(ell, p)
     if N is None:
         precisions = [n + 3]
@@ -197,60 +290,105 @@ def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
             precisions.append(2 * precisions[-1])
     else:
         precisions = [N]
+    orbit = _orbit(ell)
+    records = {}
+    todo = list(dict.fromkeys(chi_ids))
     for N in precisions:
         n_work = max(N, min(N + 2, _max_precision(p)))
         R_work = ring_make(p, n, chi_order, n_work)
-        project = _chi_projector(R_work, half, chi_id)
+        runs = {cid: _Sampling(_ChiProjector(R_work, half, cid))
+                for cid in todo}
+        sampling = list(todo)
         stream = _aux_prime_stream(ell, p, n_work)
-        I = None
-        stable = 0
         used = []
         for _ in range(_MAX_BATCHES):
-            lams = []
-            for _ in range(4):
-                q = next(stream)
-                used.append(q)
-                lams.append(project(unit_image_mod_q(ell, q, p, n_work)))
-            # I is an R-ideal, so it holds the orbit of each lambda exactly
-            # when it holds lambda: a batch inside I leaves it unchanged
-            if I is not None and all(I.contains(lam) for lam in lams):
-                stable += 1
-            else:
-                I = ideal_make(R_work, lams) if I is None else I.grow(lams)
-                stable = 0
-            unit = any(c == 0 and k == 0 for _, c, k in I.pivots)
-            if stable >= 5 or unit:
+            batch = [next(stream) for _ in range(4)]
+            used += batch
+            for cid in sampling:
+                runs[cid].aux = len(used)
+            # decide each chi id's unit mod (p, T), q by q, and keep the
+            # orbit values (as int64) for the images the others need.  Once
+            # a chi id has grown I, it computes every image anyway, and its
+            # lambdas show a unit themselves
+            held = []
+            for q in batch:
+                w, d = _orbit_values(ell, q, orbit)
+                for cid in sampling:
+                    run = runs[cid]
+                    if run.I is None and not run.unit:
+                        run.unit = run.project.is_unit(d, q)
+                held.append((w, array("q", d), q))
+            sampling = [cid for cid in sampling if not runs[cid].unit]
+            images = ([_image(w, d, q, p, n_work) for w, d, q in held]
+                      if sampling else [])
+            for cid in list(sampling):
+                run = runs[cid]
+                lams = [run.project(v) for v in images]
+                if any((lam.arr[0] % p).any() for lam in lams):
+                    run.unit = True
+                    sampling.remove(cid)
+                    continue
+                # I is an R-ideal, so it holds the orbit of each lambda
+                # exactly when it holds lambda: a batch inside I leaves it
+                # unchanged
+                if run.I is not None and all(run.I.contains(lam)
+                                             for lam in lams):
+                    run.stable += 1
+                    if run.stable >= 5:
+                        sampling.remove(cid)
+                else:
+                    run.I = (ideal_make(R_work, lams) if run.I is None
+                             else run.I.grow(lams))
+                    run.stable = 0
+            if not sampling:
                 break
         else:
             raise StabilizationFailure(
                 f"ideal not stabilized within {_MAX_BATCHES} batches for "
                 f"ell={ell}"
             )
-        # certified p-power scalar level, read off the working-precision
-        # span (at precision N the scalar p^N itself reduces to zero); no
-        # sampled lambda is an integer, so grow read it off the Howell form
-        scalar_val = I.scalar_level
-        if scalar_val is not None and scalar_val <= N:
+        choices = (
+            ("unit", "least primitive root mod ell"),
+            ("root_of_unity", "w^((q-1)/ell), w least primitive root mod q"),
+            ("sigma_sign", _SIGMA_SIGN),
+            ("chi_sign", _CHI_SIGN),
+            ("work_precision", n_work),
+        )
+        for cid, run in runs.items():
+            if run.unit:
+                gens = ("1",)
+            else:
+                # certified p-power scalar level, read off the working-
+                # precision span (at precision N the scalar p^N itself
+                # reduces to zero); no sampled lambda is an integer, so grow
+                # read it off the Howell form
+                scalar_val = run.I.scalar_level
+                if scalar_val is None or scalar_val > N:
+                    continue
+                H_out, _ = howell_array(run.I.howell, p, N)
+                gens = _extract_generators(ring_make(p, n, chi_order, N),
+                                           H_out, scalar_val)
+            records[cid] = FittingIdealRecord(
+                ell=ell, p=p, chi_order=chi_order, chi_id=cid, n=n, N=N,
+                generators=gens, provenance="computed",
+                aux_primes_used=tuple(used[:run.aux]),
+                stabilization_count=0 if run.unit else run.stable,
+                choices=choices,
+            )
+            todo.remove(cid)
+        if not todo:
             break
     else:
         raise PrecisionTooLow(
             f"smallest certified scalar exceeds requested precision p^{N}"
         )
-    H_out, _ = howell_array(I.howell, p, N)
-    gens = _extract_generators(ring_make(p, n, chi_order, N), H_out,
-                               scalar_val)
-    choices = (
-        ("unit", "least primitive root mod ell"),
-        ("root_of_unity", "w^((q-1)/ell), w least primitive root mod q"),
-        ("sigma_sign", _SIGMA_SIGN),
-        ("chi_sign", _CHI_SIGN),
-        ("work_precision", n_work),
-    )
-    return FittingIdealRecord(
-        ell=ell, p=p, chi_order=chi_order, chi_id=chi_id, n=n, N=N,
-        generators=gens, provenance="computed", aux_primes_used=tuple(used),
-        stabilization_count=stable, choices=choices,
-    )
+    return [records[cid] for cid in chi_ids]
+
+
+def compute_fitting_ideal(ell, p, chi_order, chi_id=1,
+                          N=None) -> FittingIdealRecord:
+    """The record of compute_fitting_ideals for the one chi id chi_id."""
+    return compute_fitting_ideals(ell, p, chi_order, (chi_id,), N)[0]
 
 
 def _max_precision(p):

@@ -228,7 +228,8 @@ class TestShippedTableReplay:
         def forbidden(*args, **kwargs):
             raise AssertionError("replay must not sample a Fitting ideal")
 
-        monkeypatch.setattr(cycunits, "compute_fitting_ideal", forbidden)
+        # compute_fitting_ideal samples through compute_fitting_ideals
+        monkeypatch.setattr(cycunits, "compute_fitting_ideals", forbidden)
         return str(tmp_path)
 
     def test_cubic_surveys(self, cache):

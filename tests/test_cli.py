@@ -97,6 +97,29 @@ class TestSubcommands:
         assert got.ideal(R) == want.ideal(R)
         assert want.generators == ("7",)
 
+    @pytest.mark.parametrize("command, extra", [
+        ("fitting", ()), ("export", ("--file", "out.txt"))])
+    @pytest.mark.parametrize("p, chi, chi_id", [
+        ("3", "2", "2"), ("2", "3", "0"), ("2", "3", "3")])
+    def test_chi_id_not_prime_to_the_order(self, tmp_path, monkeypatch,
+                                           capsys, command, extra, p, chi,
+                                           chi_id):
+        # chi id 2 of a quadratic chi is the trivial character: a usage
+        # error (exit code 2) before any aux prime is drawn, and no cache
+        # table or output file is written
+        def no_stream(*args):
+            raise AssertionError("an aux prime was drawn")
+
+        monkeypatch.setattr(cycunits, "_aux_prime_stream", no_stream)
+        monkeypatch.chdir(tmp_path)
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--cache", str(cache), command, *extra, "--ell", "2089",
+                    "--p", p, "--chi", chi, "--chi-id", chi_id)
+        assert exc.value.code == 2
+        assert "chi id" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_export_fills_empty_cache(self, tmp_path):
         # a computed record is stored, as by fitting and capitulation
         cache = tmp_path / "cache"

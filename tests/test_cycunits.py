@@ -93,9 +93,9 @@ class TestUnitImage:
         ones = np.ones(4, dtype=np.int64)
         # sigma^e -> (1+T)^e for the trivial character
         want = sum(((R.one() + R.T()) ** e for e in range(4)), R.zero())
-        assert cu._chi_projector(R, 4, 1)(ones) == want
+        assert cu._ChiProjector(R, 4, 1)(ones) == want
         with pytest.raises(Overflow):
-            cu._chi_projector(iw.ring_make(2, 3, 1, 30), 8, 1)
+            cu._ChiProjector(iw.ring_make(2, 3, 1, 30), 8, 1)
 
     @pytest.mark.parametrize("ell, p, chi_order, chi_id", [
         (2857, 3, 2, 1), (257, 2, 3, 1), (7681, 2, 3, 2),
@@ -106,10 +106,33 @@ class TestUnitImage:
         n_work = min(n + 5, cu._max_precision(p))
         R = iw.ring_make(p, n, chi_order, n_work)
         half = (ell - 1) // 2
-        project = cu._chi_projector(R, half, chi_id)
+        project = cu._ChiProjector(R, half, chi_id)
         for q in aux_primes(ell, p, n_work, 4):
             vec = cu.unit_image_mod_q(ell, q, p, n_work)
             assert project(vec) == projection_by_entries(R, vec, chi_id)
+
+    @pytest.mark.parametrize("ell, p, chi_order, chi_id, unit", [
+        (2857, 3, 2, 1, False), (7681, 2, 3, 2, True), (211, 7, 3, 1, True),
+        (211, 7, 3, 2, True), (313, 7, 3, 1, True), (313, 7, 3, 2, False),
+        (2089, 3, 2, 1, False), (13, 3, 2, 1, True), (9337, 2, 3, 2, False),
+        (163, 2, 3, 1, False)])
+    def test_unit_decision_matches_projection(self, ell, p, chi_order,
+                                              chi_id, unit):
+        # lambda lies outside (p, T) exactly when the constant row of its
+        # projection is nonzero mod p; f = 1 and f = 2 (p = 2), for unit
+        # ideals and others, whose lambdas all lie inside (p, T)
+        n = cu.tower_exponent(ell, p)
+        n_work = min(n + 5, cu._max_precision(p))
+        R = iw.ring_make(p, n, chi_order, n_work)
+        project = cu._ChiProjector(R, (ell - 1) // 2, chi_id)
+        orbit = cu._orbit(ell)
+        decided = []
+        for q in aux_primes(ell, p, n_work, 8):
+            _, d = cu._orbit_values(ell, q, orbit)
+            lam = project(cu.unit_image_mod_q(ell, q, p, n_work))
+            decided.append(project.is_unit(d, q))
+            assert decided[-1] == bool((lam.arr[0] % p).any())
+        assert any(decided) == unit
 
     @pytest.mark.parametrize("ell, p, count", [
         (2917, 3, 4), (2857, 3, 4), (211, 7, 4), (7351, 7, 1), (7681, 2, 4),
@@ -179,11 +202,12 @@ class TestComputeFittingIdeal:
         ids=["threshold10", "threshold18"])
     def test_precision_doubles_until_certified(self, monkeypatch, threshold,
                                                tried_want, N_want):
-        # no scalar is certified below working precision `threshold`: each
-        # lower N fails and is doubled, up to the cap (working precision
-        # 18 = _max_precision(3)); a requested N is never doubled.  Each
-        # precision samples the unit ideal in one growth; extraction grows
-        # once more, at the final N
+        # 229 at p = 3 (n = 1) is not the unit ideal, so every precision
+        # grows I and asks for its scalar level.  No scalar is certified
+        # below working precision `threshold`: each lower N fails and is
+        # doubled, up to the cap (working precision 18 = _max_precision(3));
+        # a requested N is never doubled.  Extraction then grows at the
+        # final N
         certify = iw._min_scalar_level
         tried = []
 
@@ -192,12 +216,13 @@ class TestComputeFittingIdeal:
             return certify(H, piv, R) if R.N >= threshold else None
 
         monkeypatch.setattr(iw, "_min_scalar_level", late)
-        rec = cu.compute_fitting_ideal(13, 3, 2)
-        assert tried == tried_want + [N_want] and rec.N == N_want
+        rec = cu.compute_fitting_ideal(229, 3, 2)
+        assert list(dict.fromkeys(tried)) == tried_want + [N_want]
+        assert rec.N == N_want
         with pytest.raises(PrecisionTooLow):
-            cu.compute_fitting_ideal(13, 3, 2, N=4)
+            cu.compute_fitting_ideal(229, 3, 2, N=4)
         monkeypatch.setattr(iw, "_min_scalar_level", certify)
-        assert rec == cu.compute_fitting_ideal(13, 3, 2, N=N_want)
+        assert rec == cu.compute_fitting_ideal(229, 3, 2, N=N_want)
 
     @pytest.mark.parametrize(
         "ell, p, chi_order, chi_id, N, aux, stable, gens", [
@@ -229,6 +254,72 @@ class TestComputeFittingIdeal:
         rec = cu.compute_fitting_ideal(2089, 3, 2, N=3)
         grew = len(rec.aux_primes_used) // 4 - rec.stabilization_count
         assert len(calls) <= grew + 1 + len(rec.generators)
+
+    def test_unit_ideal_runs_no_echelon(self, monkeypatch):
+        # ell = 7 has gens=[1] in the shipped p = 7 table: its first batch
+        # holds a lambda outside (p, T), which is decided mod p, so no
+        # Howell form is computed at all
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return howell_array(*args)
+
+        monkeypatch.setattr(cu, "howell_array", counting)
+        monkeypatch.setattr(iw, "howell_array", counting)
+        rec = cu.compute_fitting_ideal(7, 7, 3)
+        assert calls == []
+        assert (rec.generators, rec.stabilization_count) == (("1",), 0)
+        assert len(rec.aux_primes_used) == 4
+
+    @pytest.mark.parametrize("ell, p, chi_order, chi_ids", [
+        (13, 3, 2, (1,)), (313, 7, 3, (1, 2)), (7681, 2, 3, (1, 2))])
+    def test_lambdas_show_the_unit_ideal(self, monkeypatch, ell, p,
+                                         chi_order, chi_ids):
+        # once I has grown, a unit is read off the lambdas instead of
+        # decided mod (p, T) from the orbit; with the orbit test switched
+        # off, the first batch takes that path and gives the same records
+        want = cu.compute_fitting_ideals(ell, p, chi_order, chi_ids)
+        monkeypatch.setattr(cu._ChiProjector, "is_unit",
+                            lambda self, d, q: False)
+        assert cu.compute_fitting_ideals(ell, p, chi_order, chi_ids) == want
+        assert want[0].generators == ("1",)
+
+    @pytest.mark.parametrize("ell", [313, 7351])
+    def test_chi_ids_share_each_orbit(self, monkeypatch, ell):
+        # one run for both cubic characters at p = 7 maps u through each
+        # F_q once, and gives the records of two separate runs
+        walked = []
+
+        def counting(ell_, q, orbit):
+            walked.append(q)
+            return orbit_values(ell_, q, orbit)
+
+        orbit_values = cu._orbit_values
+        monkeypatch.setattr(cu, "_orbit_values", counting)
+        recs = cu.compute_fitting_ideals(ell, 7, 3, (1, 2))
+        assert len(walked) == len(set(walked))
+        assert set(walked) == set().union(
+            *(rec.aux_primes_used for rec in recs))
+        monkeypatch.setattr(cu, "_orbit_values", orbit_values)
+        assert recs == [cu.compute_fitting_ideal(ell, 7, 3, chi_id=cid)
+                        for cid in (1, 2)]
+
+    @pytest.mark.parametrize("ell, p, chi_order, chi_id", [
+        (2089, 3, 2, 2), (2089, 3, 2, 0), (7489, 2, 3, 3), (313, 7, 3, 6)])
+    def test_rejects_chi_id_not_prime_to_the_order(self, monkeypatch, ell, p,
+                                                   chi_order, chi_id):
+        # such a chi id names a character of smaller order (chi_id = 0 mod
+        # the order: the trivial one); it fails before any aux prime is
+        # drawn, also next to a valid chi id
+        def no_stream(*args):
+            raise AssertionError("an aux prime was drawn")
+
+        monkeypatch.setattr(cu, "_aux_prime_stream", no_stream)
+        with pytest.raises(ValueError, match="chi id"):
+            cu.compute_fitting_ideal(ell, p, chi_order, chi_id=chi_id)
+        with pytest.raises(ValueError, match="chi id"):
+            cu.compute_fitting_ideals(ell, p, chi_order, (1, chi_id))
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
