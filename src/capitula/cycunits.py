@@ -5,29 +5,31 @@ Cyclotomic Fields, Lemma 8.1), and the sampled computation of the ideal I
 with B(chi^-1) = O[[T]]/I, via discrete-log images modulo auxiliary primes
 q = 1 (mod l*p^N, doubled at p = 2).
 
-For each auxiliary prime q, u is mapped through F_q: its Galois orbit of
-discrete logs, projected to the chi-eigenspace, is one element lambda of
-the target ideal I.  I grows with q, one batch of 4 primes at a time, and
-is declared computed once 5 consecutive batches add nothing: every new
-lambda already lies in I, which a membership test decides without an
-echelon.  Correctness is anchored to fixtures and to the quadratic
-class-group cross-check, not to a proof; records carry a
+For each auxiliary prime q, u is mapped through F_q: the chi-projection of
+its Galois orbit of discrete logs is one element lambda of the target ideal
+I.  A dlog turns products into sums, so the orbit values are multiplied
+into the cells of the projection in F_q first, and one power and one dlog
+per cell follow (_ChiProjector).  I grows with q, one batch of 4 primes at
+a time, and is declared computed once 5 consecutive batches add nothing:
+every new lambda already lies in I, which a membership test decides
+without an echelon.  Correctness is anchored to fixtures and to the
+quadratic class-group cross-check, not to a proof; records carry a
 Monte-Carlo-stabilized provenance flag.
 
 The unit ideal needs no stopping rule.  O is unramified and omega_n =
 T^(p^n) mod p, so R is local with maximal ideal (p, T), and I = R exactly
 when some sampled lambda lies outside (p, T) (Washington, Section 7.1).
-Until I first grows, that is decided mod p from the orbit of u in F_q,
+Until I first grows, that is decided mod p from the cell products in F_q,
 with one power per O/p-coordinate, and only a batch whose lambdas all lie
-in (p, T) computes full dlogs, projections and the growth of I; later
-batches compute their images anyway and read the decision off the lambdas.
-The chi ids of one conductor share one walk of the auxiliary primes, in
-lockstep batches, so each q maps u through F_q once for all of them.
+in (p, T) takes the dlogs of the cells and grows I; once I has grown,
+every batch takes them, and the lambdas show the decision.  The chi ids of
+one conductor share one walk of the auxiliary primes, in lockstep batches,
+and the cell products and dlogs of each q: a chi id only picks the zeta
+power of each cell.
 """
 
 import os
 import re
-from array import array
 from dataclasses import dataclass
 from math import gcd
 
@@ -90,93 +92,110 @@ def _orbit_values(ell, q, orbit):
     return w, [powers[b] - powers[ell - b] for b in orbit]
 
 
-def _image(w, d, q, p, N):
-    """The unit image (see unit_image_mod_q) from the orbit values d."""
-    half = len(d)
-    exp = (q - 1) // p**N
-    dl = np.array(p_power_dlogs([pow(x, exp, q) for x in d], pow(w, exp, q),
-                                q, p, N), dtype=np.int64)
-    return (np.roll(dl, -1) - dl)[-np.arange(half) % half] % p**N
-
-
-def unit_image_mod_q(ell, q, p, N):
-    """The group-algebra image of u = (zeta^g - zeta^-g)/(zeta - zeta^-1),
-    g the least primitive root mod ell: the vector v with v[e] the
-    coefficient of sigma^(-e) = dlog_q of sigma^e(u) mod p^N, sigma = sigma_g
-    the fixed generator of Gal(Q(zeta_l)+/Q).  Deterministic given (q,
-    least primitive roots).
-
-    With rho = w^((q-1)/ell) (w the least primitive root mod q) and
-    d(b) = rho^b - rho^-b, sigma^e(u) = d(g^(e+1)) / d(g^e): its dlog is
-    the difference of the dlogs of d along the orbit b = g^e.  Raising to
-    (q-1)/p^N maps each d(b) into the order-p^N subgroup that
-    w^((q-1)/p^N) generates, where arith.p_power_dlogs reads its dlog_w mod
-    p^N.  (q-1)/p^N is even, so the sign of d(b), and d(g^half) = -d(1),
-    cost nothing."""
-    m = _aux_modulus(ell, p, N)
-    if (q - 1) % m:
-        raise BadAuxPrime(f"q = {q} is not 1 mod {m}")
-    w, d = _orbit_values(ell, q, _orbit(ell))
-    return _image(w, d, q, p, N)
-
-
 class _ChiProjector:
-    """The projection of group-algebra vectors (index e over the half powers
-    of sigma) into the eigenring: sigma^e -> chi(delta0)^(s*y) (1+T)^(s*x)
-    with s the pinned sign, sigma^e = pi0^x delta0^y.  It depends only on
-    l, the ring and chi_id, so a conductor builds it once per precision."""
+    """The chi-projection lambda of the image of u mod q, for every
+    character chi of order m = ring.chi_order at once, taken in F_q before
+    any discrete log.  It depends only on l and the ring, so a conductor
+    builds it once per precision.
 
-    def __init__(self, ring, half, chi_id):
-        pn, m, mod, p = ring.pn, ring.chi_order, ring.mod, ring.p
+    The image of u carries dlog(sigma^-e u) = dl[(1-e) mod half] -
+    dl[-e mod half] on [sigma^e], dl[i] the dlog of the orbit value d[i] =
+    d(g^i) of _orbit_values: sigma^e(u) = d(g^(e+1)) / d(g^e), and
+    d(g^half) = -d(1) has the same dlog once raised into the order-p^N
+    subgroup, as (q-1)/p^N is even.  The projection sends sigma^e =
+    pi0^x delta0^y (signs pinned by _SIGMA_SIGN) to chi^-1(delta0)^y
+    (1+T)^x, which depends on e only through its cell x*m + (y mod m) of
+    the pn x m grid, and on chi only through the zeta power of each column
+    y mod m.  A dlog turns products into sums, so the sum over cell k is
+    the dlog of N_k/D_k: N_k the product of the d[i] with (1-i) mod half in
+    cell k, D_k that of the d[i] with -i mod half in it.  Per q that takes
+    2*half multiplications, one inversion for all the D_k (Montgomery's
+    batch inversion, Math. Comp. 48, 1987), and pn*m powers into the
+    order-p^N subgroup with their dlogs, shared by all chi; each chi then
+    expands its cell sums with the binomials of (1+T)^x and its zeta
+    powers."""
+
+    def __init__(self, ring, half):
+        pn, m = ring.pn, ring.chi_order
         D = half // pn
-        check_int64_sums(mod, max(pn, m))
+        check_int64_sums(ring.mod, max(pn, m))
         self.ring = ring
-        # the (x, zeta power) cell of each sigma^e in the pn x m grid
+        self.modulus = _aux_modulus(2 * half + 1, ring.p, ring.N)
         es = _SIGMA_SIGN * np.arange(half, dtype=np.int64) % half
-        x = es * pow(D, -1, pn) % pn
-        y = es * pow(pn, -1, D) % D
-        self.cell = x * m + _CHI_SIGN * chi_id * y % m
-        # expand (1+T)^x via binomials, then zeta powers in the O-basis
+        cell = es * pow(D, -1, pn) % pn * m + es * pow(pn, -1, D) % D % m
+        i = np.arange(half)
+        self.num = cell[(1 - i) % half].tolist()
+        self.den = cell[-i % half].tolist()
         self.binomials_t = ring.binomials()[:pn, :pn].T
+        # zeta^0, ..., zeta^(m-1) in the O-basis
         self.zpow = np.zeros((m, ring.f), dtype=np.int64)
         cur = ring.one()
         for zi in range(m):
             self.zpow[zi] = cur.arr[0]
             cur = cur.mul_zeta()
-        # The constant row of the projected image is sum_i dl[i] * wt[i]
-        # over the dlogs dl[i] of d(g^i) (unit_image_mod_q), with wt[i] =
-        # z((1-i) mod half) - z(-i mod half) and z(e) the O-coordinates of
-        # the zeta power of cell e.  For each coordinate, the indices i of
-        # each weight p-1, ..., 1 (mod p).
-        z = self.zpow[self.cell % m] % p
-        i = np.arange(half)
-        wt = (z[(1 - i) % half] - z[-i % half]) % p
-        self.unit_weights = [[np.flatnonzero(col == r).tolist()
-                              for r in range(p - 1, 0, -1)] for col in wt.T]
 
-    def __call__(self, vec):
-        ring, mod = self.ring, self.ring.mod
-        c = np.zeros(ring.pn * ring.chi_order, dtype=np.int64)
-        np.add.at(c, self.cell, vec)
-        c = c.reshape(ring.pn, ring.chi_order) % mod
-        arr = (self.binomials_t @ c % mod) @ self.zpow % mod
-        return ring.from_vector(arr.reshape(-1))
+    def zeta_table(self, chi_id):
+        """The O-coordinates of the zeta power that chi_id puts on each
+        column y mod m: chi(delta0)^(s*y) = zeta^(s*chi_id*y), s the pinned
+        _CHI_SIGN."""
+        m = self.ring.chi_order
+        return self.zpow[[_CHI_SIGN * chi_id * y % m for y in range(m)]]
 
-    def is_unit(self, d, q):
-        """Whether lambda, the projected image of the orbit values d mod q,
-        lies outside (p, T), i.e. is a unit of the local ring R.  Its
-        constant row mod p is the dlog of (prod_i d[i]^wt[i])^((q-1)/p) in
-        the order-p subgroup, so lambda is a unit exactly when one of these
-        f powers is not 1; (q-1)/p is even, so the signs of d cancel."""
-        e = (q - 1) // self.ring.p
-        for groups in self.unit_weights:
-            # prod over r of (prod of d[i] with wt[i] = r)^r, as a product
-            # of the running products from the top weight down
-            run = acc = 1
-            for idx in groups:
-                for i in idx:
-                    run = run * d[i] % q
-                acc = acc * run % q
+    def cell_quotients(self, d, q):
+        """N_k/D_k mod q for each cell k, from the orbit values d mod q."""
+        if (q - 1) % self.modulus:
+            raise BadAuxPrime(f"q = {q} is not 1 mod {self.modulus}")
+        K = self.ring.pn * self.ring.chi_order
+        num, den = [1] * K, [1] * K
+        for x, a, b in zip(d, self.num, self.den):
+            num[a] = num[a] * x % q
+            den[b] = den[b] * x % q
+        # one inverse of the product of all D_k, peeled back cell by cell
+        # with the prefix products
+        prefix, acc = [], 1
+        for y in den:
+            prefix.append(acc)
+            acc = acc * y % q
+        inv = pow(acc, -1, q)
+        for k in range(K - 1, -1, -1):
+            num[k] = num[k] * prefix[k] % q * inv % q
+            inv = inv * den[k] % q
+        return num
+
+    def cell_dlogs(self, w, r, q):
+        """The cell sums, as a pn x m array mod p^N: the dlogs of the cell
+        quotients r raised into the order-p^N subgroup, to the base
+        w^((q-1)/p^N)."""
+        ring = self.ring
+        exp = (q - 1) // ring.mod
+        c = p_power_dlogs([pow(x, exp, q) for x in r], pow(w, exp, q), q,
+                          ring.p, ring.N)
+        return np.array(c, dtype=np.int64).reshape(ring.pn, ring.chi_order)
+
+    def __call__(self, c, zeta):
+        """lambda from the cell sums c, for the chi of zeta_table zeta."""
+        mod = self.ring.mod
+        arr = (self.binomials_t @ c % mod) @ zeta % mod
+        return self.ring.from_vector(arr.reshape(-1))
+
+    def is_unit(self, r, q, zeta):
+        """Whether lambda, for the cell quotients r mod q and the chi of
+        zeta_table zeta, lies outside (p, T), i.e. is a unit of the local
+        ring R.  Its constant row is sum_y C_y zeta[y], C_y the cell sum
+        over column y, the dlog of the product P_y of that column's
+        quotients.  Mod p, each of its f coordinates is the dlog of
+        (prod_y P_y^(zeta[y] mod p))^((q-1)/p) in the order-p subgroup, so
+        lambda is a unit exactly when one of these f powers is not 1; (q-1)/p
+        is even, so the signs of d cancel."""
+        p, m = self.ring.p, self.ring.chi_order
+        cols = [1] * m
+        for k, x in enumerate(r):
+            cols[k % m] = cols[k % m] * x % q
+        e = (q - 1) // p
+        for weights in (zeta % p).T.tolist():
+            acc = 1
+            for c, wt in zip(cols, weights):
+                acc = acc * pow(c, wt, q) % q
             if pow(acc, e, q) != 1:
                 return True
         return False
@@ -254,8 +273,8 @@ def check_characters(ell, p, chi_order, chi_ids):
 class _Sampling:
     """One chi id's ideal at one precision, grown batch by batch."""
 
-    def __init__(self, project):
-        self.project = project
+    def __init__(self, zeta):
+        self.zeta = zeta  # the chi id's _ChiProjector.zeta_table
         self.I = None
         self.stable = 0
         self.aux = 0  # aux primes drawn
@@ -268,18 +287,18 @@ def compute_fitting_ideals(ell, p, chi_order, chi_ids,
     chi_order characters chi_ids of conductor ell: one record per chi id.
 
     The chi ids share one walk of the auxiliary primes: at each precision,
-    every batch of 4 primes maps u through F_q once, for all chi ids still
-    sampling.  R is local with maximal ideal (p, T) (O is unramified and
-    omega_n = T^(p^n) mod p), so I is the unit ideal exactly when some
-    lambda lies outside (p, T).  Until a chi id first grows I, that is
-    decided mod p from the orbit values, and only a batch without such a
-    lambda computes full dlogs, the projection and the growth of I; after
-    that, the images are computed anyway and the lambdas show it.  A chi
-    id's run succeeds once 5 consecutive batches add nothing, meaning every
-    new unit image already lies in I (or once I is the unit ideal, which is
-    definitive since sampling only grows it).  Without N, the precision
-    starts at n + 3 and doubles, up to the cap, while the certified scalar
-    exceeds it.
+    every batch of 4 primes maps u through F_q once, into the cells of the
+    projection, for all chi ids still sampling.  R is local with maximal
+    ideal (p, T) (O is unramified and omega_n = T^(p^n) mod p), so I is the
+    unit ideal exactly when some lambda lies outside (p, T).  Until a chi id
+    first grows I, that is decided mod p from the cell quotients, and only
+    a batch without such a lambda takes the dlogs of the cells, the
+    lambdas and the growth of I; after that, the lambdas are computed
+    anyway and show it.  A chi id's run succeeds once 5 consecutive batches
+    add nothing, meaning every new lambda already lies in I (or once I is
+    the unit ideal, which is definitive since sampling only grows it).
+    Without N, the precision starts at n + 3 and doubles, up to the cap,
+    while the certified scalar exceeds it.
     """
     check_characters(ell, p, chi_order, chi_ids)
     half = (ell - 1) // 2
@@ -296,8 +315,8 @@ def compute_fitting_ideals(ell, p, chi_order, chi_ids,
     for N in precisions:
         n_work = max(N, min(N + 2, _max_precision(p)))
         R_work = ring_make(p, n, chi_order, n_work)
-        runs = {cid: _Sampling(_ChiProjector(R_work, half, cid))
-                for cid in todo}
+        project = _ChiProjector(R_work, half)
+        runs = {cid: _Sampling(project.zeta_table(cid)) for cid in todo}
         sampling = list(todo)
         stream = _aux_prime_stream(ell, p, n_work)
         used = []
@@ -306,24 +325,24 @@ def compute_fitting_ideals(ell, p, chi_order, chi_ids,
             used += batch
             for cid in sampling:
                 runs[cid].aux = len(used)
-            # decide each chi id's unit mod (p, T), q by q, and keep the
-            # orbit values (as int64) for the images the others need.  Once
-            # a chi id has grown I, it computes every image anyway, and its
-            # lambdas show a unit themselves
+            # decide each chi id's unit mod (p, T), q by q, from the cell
+            # quotients, before any dlog.  Once a chi id has grown I, every
+            # batch computes its lambdas, and they show a unit themselves
             held = []
             for q in batch:
                 w, d = _orbit_values(ell, q, orbit)
+                r = project.cell_quotients(d, q)
                 for cid in sampling:
                     run = runs[cid]
                     if run.I is None and not run.unit:
-                        run.unit = run.project.is_unit(d, q)
-                held.append((w, array("q", d), q))
+                        run.unit = project.is_unit(r, q, run.zeta)
+                held.append((w, r, q))
             sampling = [cid for cid in sampling if not runs[cid].unit]
-            images = ([_image(w, d, q, p, n_work) for w, d, q in held]
-                      if sampling else [])
+            sums = ([project.cell_dlogs(w, r, q) for w, r, q in held]
+                    if sampling else [])
             for cid in list(sampling):
                 run = runs[cid]
-                lams = [run.project(v) for v in images]
+                lams = [project(c, run.zeta) for c in sums]
                 if any((lam.arr[0] % p).any() for lam in lams):
                     run.unit = True
                     sampling.remove(cid)

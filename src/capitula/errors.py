@@ -70,6 +70,3 @@ class DegreeTooLarge(CapitulaError):
 class NotDividing(CapitulaError):
     pass
 
-
-class NotCoprimeDegrees(CapitulaError):
-    pass

@@ -3,16 +3,13 @@
 period_polynomial computes the minimal polynomial of the Gaussian periods
 spanning the degree-m subfield of Q(zeta_l), exactly: the symmetric
 functions of the periods are expanded in the group ring Z[x]/(x^l - 1) and
-reduced to integers via sum(zeta^k) = -1.  compositum_polynomial implements
-the compositum of an odd-degree field with the quadratic subfield as
-P(X+sqrt(l))*P(X-sqrt(l)), expanded exactly in Z[u]/(u^2 - l).
+reduced to integers via sum(zeta^k) = -1.
 """
 
 from dataclasses import dataclass
 
 from .arith import is_prime, primitive_root
-from .errors import (DegreeTooLarge, NotCoprimeDegrees, NotDividing,
-                     NotPrime)
+from .errors import DegreeTooLarge, NotDividing, NotPrime
 from .iwasawa import _factor_mod_p, _poly_gcdext, _poly_trim
 
 MAX_DEGREE = 16
@@ -152,39 +149,3 @@ def period_polynomial(ell, m) -> PeriodPolynomial:
 
     assert isqrt(d) ** 2 == d, "field discriminant must be supported at ell"
     return PeriodPolynomial(ell, m, coeffs)
-
-
-def compositum_polynomial(P: PeriodPolynomial, ell) -> tuple:
-    """Exact expansion of P(X + sqrt(ell)) * P(X - sqrt(ell)) in
-    Z[u]/(u^2 - ell): the defining polynomial (degree 2m) of the compositum
-    of the degree-m field of P with the quadratic subfield of Q(zeta_ell).
-    Requires odd m so the degrees are coprime."""
-    m = P.m
-    if m % 2 == 0:
-        raise NotCoprimeDegrees(f"degree {m} is not coprime to 2")
-
-    def shift(sign):
-        # coefficients of P(X + sign*u) as (a, b) = a + b*u pairs
-        from math import comb
-
-        out = [[0, 0] for _ in range(m + 1)]
-        for k, c in enumerate(P.coefficients):
-            # c * (X + sign*u)^k
-            for j in range(k + 1):
-                term = c * comb(k, j) * sign ** (k - j)
-                upow = k - j
-                a = term * ell ** (upow // 2)
-                out[j][upow % 2] += a
-        return out
-
-    plus, minus = shift(1), shift(-1)
-    prod = [[0, 0] for _ in range(2 * m + 1)]
-    for i, (a1, b1) in enumerate(plus):
-        for j, (a2, b2) in enumerate(minus):
-            prod[i + j][0] += a1 * a2 + ell * b1 * b2
-            prod[i + j][1] += a1 * b2 + b1 * a2
-    assert all(b == 0 for _, b in prod), "u-component must vanish"
-    coeffs = tuple(a for a, _ in prod)
-    if not _irreducible_mod_some_prime(coeffs, ell):
-        raise AssertionError("compositum polynomial failed irreducibility")
-    return coeffs

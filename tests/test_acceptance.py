@@ -400,11 +400,6 @@ class TestProperties:
     def test_period_polynomial_7_3(self):
         assert fields.period_polynomial(7, 3).coefficients == (-1, -2, 1, 1)
 
-    def test_compositum_symmetry_and_degree(self):
-        P = fields.period_polynomial(13, 3)
-        c = fields.compositum_polynomial(P, 13)
-        assert len(c) == 7 and c[-1] == 1
-
 
 # ---------------------------------------------------------------------------
 # 8. p = 5 survey gate (internal consistency below 20000)

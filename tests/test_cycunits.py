@@ -1,3 +1,5 @@
+import copy
+import functools
 import math
 
 import numpy as np
@@ -14,6 +16,16 @@ from capitula.errors import (BadAuxPrime, ChiOrderNotCoprime, Overflow,
 def aux_primes(ell, p, N, count):
     stream = cu._aux_prime_stream(ell, p, N)
     return [next(stream) for _ in range(count)]
+
+
+@functools.cache
+def binomials_by_comb(pn, mod):
+    """C(x, k) mod `mod` for x, k < pn, from math.comb."""
+    B = np.zeros((pn, pn), dtype=np.int64)
+    for x in range(pn):
+        for k in range(x + 1):
+            B[x, k] = math.comb(x, k) % mod
+    return B
 
 
 def projection_by_entries(ring, vec, chi_id):
@@ -33,10 +45,7 @@ def projection_by_entries(ring, vec, chi_id):
         x = (e * Dinv) % pn
         zi = (-chi_id * ((e * Pinv) % D)) % m
         c[x, zi] = (c[x, zi] + t) % mod
-    B = np.zeros((pn, pn), dtype=np.int64)
-    for x in range(pn):
-        for k in range(x + 1):
-            B[x, k] = math.comb(x, k) % mod
+    B = binomials_by_comb(pn, mod)
     zpow = np.zeros((m, f), dtype=np.int64)
     cur = ring.one()
     for zi in range(m):
@@ -74,42 +83,69 @@ def unit_image_by_dict(ell, p, N, q):
     return out
 
 
+def cell_lambdas(project, ell, q, chi_id):
+    """lambda at q through the cell products of project."""
+    w, d = cu._orbit_values(ell, q, cu._orbit(ell))
+    r = project.cell_quotients(d, q)
+    return project(project.cell_dlogs(w, r, q), project.zeta_table(chi_id))
+
+
+def working_ring(ell, p, chi_order):
+    """The ring of the first precision that sampling works at."""
+    n = cu.tower_exponent(ell, p)
+    return iw.ring_make(p, n, chi_order, min(n + 5, cu._max_precision(p)))
+
+
 class TestUnitImage:
     def test_bad_aux_prime(self):
+        project = cu._ChiProjector(iw.ring_make(3, 1, 2, 2), 6)
+        _, d = cu._orbit_values(13, 11, cu._orbit(13))
         with pytest.raises(BadAuxPrime):
-            cu.unit_image_mod_q(13, 11, 3, 2)
+            project.cell_quotients(d, 11)
 
     def test_bad_aux_prime_sign_at_two(self):
         # q = 1 mod 13*4 but not mod 13*8: sign of units still visible
         q = 157  # 157 - 1 = 12*13, divisible by 13*4 but not 13*8
         assert (q - 1) % (13 * 4) == 0 and (q - 1) % (13 * 8) != 0
+        project = cu._ChiProjector(iw.ring_make(2, 1, 3, 2), 6)
+        _, d = cu._orbit_values(13, q, cu._orbit(13))
         with pytest.raises(BadAuxPrime):
-            cu.unit_image_mod_q(13, q, 2, 2)
+            project.cell_quotients(d, q)
 
     def test_projection_int64_guard(self):
         # p^N = 2^30 and D = 1: the binomial expansion sums p^n products,
         # which fit in int64 for p^n = 4 and overflow it for p^n = 8
         R = iw.ring_make(2, 2, 1, 30)
-        ones = np.ones(4, dtype=np.int64)
-        # sigma^e -> (1+T)^e for the trivial character
+        project = cu._ChiProjector(R, 4)
+        ones = np.ones((4, 1), dtype=np.int64)
+        # cell sums of 1 at every (1+T)^x, for the trivial character
         want = sum(((R.one() + R.T()) ** e for e in range(4)), R.zero())
-        assert cu._ChiProjector(R, 4, 1)(ones) == want
+        assert project(ones, project.zeta_table(1)) == want
         with pytest.raises(Overflow):
-            cu._ChiProjector(iw.ring_make(2, 3, 1, 30), 8, 1)
+            cu._ChiProjector(iw.ring_make(2, 3, 1, 30), 8)
 
     @pytest.mark.parametrize("ell, p, chi_order, chi_id", [
-        (2857, 3, 2, 1), (257, 2, 3, 1), (7681, 2, 3, 2),
-        (211, 7, 3, 1), (211, 7, 3, 2)])
+        (2917, 3, 2, 1), (2857, 3, 2, 1), (401, 5, 2, 1), (257, 2, 3, 1),
+        (7681, 2, 3, 1), (7681, 2, 3, 2), (211, 7, 3, 1), (211, 7, 3, 2)])
     def test_projection_matches_entry_loop(self, ell, p, chi_order, chi_id):
-        # the unit images of the first aux primes at the working precision
-        n = cu.tower_exponent(ell, p)
-        n_work = min(n + 5, cu._max_precision(p))
-        R = iw.ring_make(p, n, chi_order, n_work)
+        # lambda from the cell products against the projection, entry by
+        # entry, of the unit image from the definition, at the first aux
+        # primes: p^n*m = half at 2917, one dlog digit at 2857 and 7681
+        # (f = 2), two at 401 and 211.  A cell map rotated by one index
+        # gives another lambda on the same inputs
+        R = working_ring(ell, p, chi_order)
         half = (ell - 1) // 2
-        project = cu._ChiProjector(R, half, chi_id)
-        for q in aux_primes(ell, p, n_work, 4):
-            vec = cu.unit_image_mod_q(ell, q, p, n_work)
-            assert project(vec) == projection_by_entries(R, vec, chi_id)
+        project = cu._ChiProjector(R, half)
+        rotated = copy.copy(project)
+        rotated.num = project.num[1:] + project.num[:1]
+        rotated.den = project.den[1:] + project.den[:1]
+        differs = False
+        for q in aux_primes(ell, p, R.N, 4):
+            want = projection_by_entries(
+                R, unit_image_by_dict(ell, p, R.N, q), chi_id)
+            assert cell_lambdas(project, ell, q, chi_id) == want
+            differs |= cell_lambdas(rotated, ell, q, chi_id) != want
+        assert differs
 
     @pytest.mark.parametrize("ell, p, chi_order, chi_id, unit", [
         (2857, 3, 2, 1, False), (7681, 2, 3, 2, True), (211, 7, 3, 1, True),
@@ -121,16 +157,17 @@ class TestUnitImage:
         # lambda lies outside (p, T) exactly when the constant row of its
         # projection is nonzero mod p; f = 1 and f = 2 (p = 2), for unit
         # ideals and others, whose lambdas all lie inside (p, T)
-        n = cu.tower_exponent(ell, p)
-        n_work = min(n + 5, cu._max_precision(p))
-        R = iw.ring_make(p, n, chi_order, n_work)
-        project = cu._ChiProjector(R, (ell - 1) // 2, chi_id)
+        R = working_ring(ell, p, chi_order)
+        project = cu._ChiProjector(R, (ell - 1) // 2)
+        zeta = project.zeta_table(chi_id)
         orbit = cu._orbit(ell)
         decided = []
-        for q in aux_primes(ell, p, n_work, 8):
+        for q in aux_primes(ell, p, R.N, 8):
             _, d = cu._orbit_values(ell, q, orbit)
-            lam = project(cu.unit_image_mod_q(ell, q, p, n_work))
-            decided.append(project.is_unit(d, q))
+            lam = projection_by_entries(
+                R, unit_image_by_dict(ell, p, R.N, q), chi_id)
+            decided.append(project.is_unit(project.cell_quotients(d, q), q,
+                                           zeta))
             assert decided[-1] == bool((lam.arr[0] % p).any())
         assert any(decided) == unit
 
@@ -138,18 +175,80 @@ class TestUnitImage:
         (2917, 3, 4), (2857, 3, 4), (211, 7, 4), (7351, 7, 1), (7681, 2, 4),
         (401, 5, 4)])
     def test_image_matches_dict(self, ell, p, count):
-        # at the working precision; 2857 and 7681 read one dlog digit, the
-        # others two
-        n_work = min(cu.tower_exponent(ell, p) + 5, cu._max_precision(p))
-        for q in aux_primes(ell, p, n_work, count):
-            assert (cu.unit_image_mod_q(ell, q, p, n_work).tolist()
-                    == unit_image_by_dict(ell, p, n_work, q))
+        # each cell sum is the sum of the unit image from the definition
+        # over the sigma^e of its cell, sigma^e = pi0^x delta0^y in cell
+        # x*m + (y mod m); 2857 and 7681 read one dlog digit, the others two
+        m = 2 if p in (3, 5) else 3
+        R = working_ring(ell, p, m)
+        half = (ell - 1) // 2
+        D = half // R.pn
+        project = cu._ChiProjector(R, half)
+        for q in aux_primes(ell, p, R.N, count):
+            want = np.zeros((R.pn, m), dtype=np.int64)
+            for e, t in enumerate(unit_image_by_dict(ell, p, R.N, q)):
+                x = e * pow(D, -1, R.pn) % R.pn
+                y = e * pow(R.pn, -1, D) % D
+                want[x, y % m] = (want[x, y % m] + t) % R.mod
+            w, d = cu._orbit_values(ell, q, cu._orbit(ell))
+            got = project.cell_dlogs(w, project.cell_quotients(d, q), q)
+            assert (got == want).all()
 
     def test_image_is_deterministic(self):
+        # two projectors built apart give the same lambda
+        R = iw.ring_make(3, 1, 2, 2)
         q = aux_primes(13, 3, 2, 1)[0]
-        a = cu.unit_image_mod_q(13, q, 3, 2)
-        b = cu.unit_image_mod_q(13, q, 3, 2)
-        assert (a == b).all()
+        a = cell_lambdas(cu._ChiProjector(R, 6), 13, q, 1)
+        b = cell_lambdas(cu._ChiProjector(R, 6), 13, q, 1)
+        assert a == b
+
+
+# Whole records at the default precision: (ell, p, chi order, chi id, n,
+# N, generators, stabilization count, aux primes).  A change to the
+# sampling that keeps every ideal keeps these bit for bit.
+PINNED_RECORDS = [
+    (2089, 3, 2, 1, 2, 5, ('3+2*T+2*T^2', '27'), 5, (9137287, 27411859,
+     91372861, 137059291, 164471149, 210157579, 228432151, 283255867,
+     438589729, 456864301, 466001587, 484276159, 603060877, 612198163,
+     639610021, 657884593, 703571023, 712708309, 758394739, 804081169,
+     922865887, 1032513319, 1105611607, 1206121753,)),
+    (401, 5, 2, 1, 2, 5, ('T', '5'), 5, (187968751, 1253125001,
+     2192968751, 2631562501, 2756875001, 3383437501, 4323281251,
+     4511250001, 5451093751, 5952343751, 6766875001, 7894687501,
+     8458593751, 8959843751, 9022500001, 9586406251, 10338281251,
+     10651562501, 11403437501, 11779375001, 12155312501, 13909687501,
+     14849531251, 15037500001,)),
+    (7351, 7, 3, 1, 2, 5, ('1',), 0, (60538645931, 72646375117,
+     278477771279, 387447333953,)),
+    (7351, 7, 3, 2, 2, 5, ('T', '49'), 5, (60538645931, 72646375117,
+     278477771279, 387447333953, 569063271743, 823325584649,
+     980726064067, 1452927502321, 1658758898483, 1670866627669,
+     1852482565459, 1876698023831, 1997775315691, 2058313961621,
+     2070421690807, 2385222649643, 2433653566387, 2542623129061,
+     2566838587433, 2687915879293, 2724239066851, 2905855004641,
+     2978501379757, 3051147754873,)),
+    (7489, 2, 3, 1, 5, 8, ('2+T+T^2+z*T^2', '8'), 5, (506136577,
+     690186241, 828223489, 858898433, 1012273153, 1150310401,
+     1196322817, 1242335233, 1273010177, 1380372481, 1779146753,
+     1917184001, 2193258497, 2699395073, 2852769793, 3727005697,
+     3849705473, 3987742721, 4079767553, 4125779969, 4739278849,
+     4831303681, 4877316097, 5000015873,)),
+    (7489, 2, 3, 2, 5, 8, ('2+T+z*T^2', '8'), 5, (506136577, 690186241,
+     828223489, 858898433, 1012273153, 1150310401, 1196322817,
+     1242335233, 1273010177, 1380372481, 1779146753, 1917184001,
+     2193258497, 2699395073, 2852769793, 3727005697, 3849705473,
+     3987742721, 4079767553, 4125779969, 4739278849, 4831303681,
+     4877316097, 5000015873,)),
+    (9337, 2, 3, 1, 2, 5, ('2+T+z*T+T^2', '8'), 5, (23902721, 35854081,
+     66927617, 78878977, 93220609, 107562241, 143416321, 164928769,
+     179270401, 186441217, 203173121, 217514753, 224685569, 265320193,
+     282052097, 301174273, 337028353, 358540801, 368101889, 380053249,
+     408736513, 437419777, 468493313, 516298753,)),
+    (9337, 2, 3, 2, 2, 5, ('2+z*T+z*T^2', '8'), 5, (23902721, 35854081,
+     66927617, 78878977, 93220609, 107562241, 143416321, 164928769,
+     179270401, 186441217, 203173121, 217514753, 224685569, 265320193,
+     282052097, 301174273, 337028353, 358540801, 368101889, 380053249,
+     408736513, 437419777, 468493313, 516298753,))]
+
 
 
 class TestComputeFittingIdeal:
@@ -238,6 +337,20 @@ class TestComputeFittingIdeal:
         assert rec.stabilization_count == stable
         assert rec.generators == gens
 
+    @pytest.mark.parametrize("ell, p, chi_order, chi_ids", [
+        (2089, 3, 2, (1,)), (401, 5, 2, (1,)), (7351, 7, 3, (1, 2)),
+        (7489, 2, 3, (1, 2)), (9337, 2, 3, (1, 2))])
+    def test_records_pinned(self, ell, p, chi_order, chi_ids):
+        want = [pin[4:] for pin in PINNED_RECORDS
+                if pin[:3] == (ell, p, chi_order)]
+        recs = cu.compute_fitting_ideals(ell, p, chi_order, chi_ids)
+        assert [rec.chi_id for rec in recs] == list(chi_ids)
+        assert [(rec.n, rec.N, rec.generators, rec.stabilization_count,
+                 rec.aux_primes_used) for rec in recs] == want
+        for rec in recs:
+            assert rec.provenance == "computed"
+            assert dict(rec.choices)["work_precision"] == rec.N + 2
+
     def test_batches_inside_the_ideal_run_no_echelon(self, monkeypatch):
         # a batch whose unit images all lie in I leaves I unchanged, so only
         # the batches that grew I echelon, plus extraction: the reduction
@@ -281,7 +394,7 @@ class TestComputeFittingIdeal:
         # off, the first batch takes that path and gives the same records
         want = cu.compute_fitting_ideals(ell, p, chi_order, chi_ids)
         monkeypatch.setattr(cu._ChiProjector, "is_unit",
-                            lambda self, d, q: False)
+                            lambda self, *args: False)
         assert cu.compute_fitting_ideals(ell, p, chi_order, chi_ids) == want
         assert want[0].generators == ("1",)
 

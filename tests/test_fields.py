@@ -5,8 +5,7 @@ import pytest
 
 from capitula import fields as fl
 from capitula.arith import is_prime, primitive_root
-from capitula.errors import (DegreeTooLarge, NotCoprimeDegrees, NotDividing,
-                             NotPrime)
+from capitula.errors import DegreeTooLarge, NotDividing, NotPrime
 
 
 def numeric_period_polynomial(ell, m):
@@ -90,43 +89,3 @@ class TestPeriodPolynomial:
 
     def test_conductor_163_cubic(self):
         assert fl.period_polynomial(163, 3).coefficients == (-169, -54, 1, 1)
-
-
-class TestCompositum:
-    def test_linear_example(self):
-        p = fl.period_polynomial(13, 1)
-        assert fl.compositum_polynomial(p, 13) == (-12, 2, 1)
-
-    def test_degree_and_symmetry_ell_13(self):
-        p = fl.period_polynomial(13, 3)
-        c = fl.compositum_polynomial(p, 13)
-        assert len(c) == 7 and c[-1] == 1
-
-    def test_roots_numeric(self):
-        # eta + sqrt(13) must be a root of the compositum polynomial
-        p = fl.period_polynomial(13, 3)
-        c = fl.compositum_polynomial(p, 13)
-        g = primitive_root(13)
-        eta = sum(cmath.exp(2j * cmath.pi * pow(g, 3 * j, 13) / 13)
-                  for j in range(4))
-        for sign in (1, -1):
-            x = eta + sign * 13**0.5
-            val = 0
-            for co in reversed(c):
-                val = val * x + co
-            assert abs(val) < 1e-6
-
-    def test_splits_completely_mod_split_primes(self):
-        # q = 1 mod 13 splits completely in Q(zeta_13), hence in the sextic
-        p = fl.period_polynomial(13, 3)
-        c = fl.compositum_polynomial(p, 13)
-        qs = [q for q in range(14, 2000, 13) if is_prime(q)][:3]
-        for q in qs:
-            roots = sum(1 for x in range(q)
-                        if sum(co * pow(x, k, q) for k, co in enumerate(c)) % q == 0)
-            assert roots == 6
-
-    def test_rejects_even_degree(self):
-        p = fl.period_polynomial(13, 4)
-        with pytest.raises(NotCoprimeDegrees):
-            fl.compositum_polynomial(p, 13)
