@@ -152,23 +152,29 @@ def _fitting_cached(cache_dir, ell, p, chi_order, chi_id=1):
 # scans
 
 
+def _quadratic_verdict(ell, p, inv, fitting):
+    """The verdict for the p-part inv of the class group of Q(sqrt(ell)):
+    the rules first, and the record fitting() only when they certify
+    nothing."""
+    field = cr.quadratic_real_field(ell)
+    try:
+        return cr.classify(field, p, class_invariants=inv)
+    except InsufficientData:
+        return cr.classify(field, p, class_invariants=inv, fitting=fitting())
+
+
 def _scan_quadratic_one(args):
     """The survey record of one conductor (None when its p-part is trivial)
     and the Fitting records computed for it, which the caller stores."""
     ell, p, cached = args
     started = time.monotonic()
-    field = cr.quadratic_real_field(ell)
     fresh = []
     try:
-        group = quadforms.class_group(ell)
-        inv = tuple(quadforms.p_part(group, p))
+        inv = tuple(quadforms.p_part(quadforms.class_group(ell), p))
         if not inv:
             return None, fresh
-        try:
-            verdict = cr.classify(field, p, class_invariants=inv)
-        except InsufficientData:
-            rec = _fitting(ell, p, 2, cached, fresh)
-            verdict = cr.classify(field, p, class_invariants=inv, fitting=rec)
+        verdict = _quadratic_verdict(
+            ell, p, inv, lambda: _fitting(ell, p, 2, cached, fresh))
         return _record(ell, "quadratic-real", p, verdict, started, inv), fresh
     except (StabilizationFailure, PrecisionTooLow, CapitulaError) as exc:
         return _error_record(ell, "quadratic-real", p, exc, started), fresh
@@ -193,11 +199,9 @@ def _merge_verdicts(verdicts, invs):
     for name in ("maximal_capitulation", "cor3_full"):
         if not all(name in (c[0] for c in v.certificates) for v in verdicts):
             certs = [c for c in certs if c[0] != name]
-    status = ("none" if kernel == 1
-              else "full" if kernel == order else "partial")
     return cr.CapitulationVerdict(
         verdicts[0].field, verdicts[0].p, kernel, tuple(sorted(kinvs)),
-        status, tuple(certs))
+        cr.kernel_status(kernel, order), tuple(certs))
 
 
 def _scan_cubic_one(args):
@@ -364,6 +368,17 @@ def _residue_class(text):
     return a, m
 
 
+def _prime(text):
+    """The prime p of --p."""
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if not is_prime(p):
+        raise argparse.ArgumentTypeError(f"{text!r} is not prime")
+    return p
+
+
 def _build_parser():
     top = argparse.ArgumentParser(prog="capitula")
     top.add_argument("--format", default="csv",
@@ -381,18 +396,18 @@ def _build_parser():
     p.add_argument("--d1", type=int, required=True)
     p = sub.add_parser("fitting")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--chi-id", type=int, default=1)
     p = sub.add_parser("capitulation")
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p = sub.add_parser("period")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--deg", type=int, required=True)
     p = sub.add_parser("scan")
     p.add_argument("--kind", choices=("quad", "cubic"), required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--max", type=int, default=10000)
     p.add_argument("--mod", type=_residue_class, default=(1, 4),
                    help="a:m for ell = a (mod m)")
@@ -402,7 +417,7 @@ def _build_parser():
     p = sub.add_parser("export")
     p.add_argument("--file", required=True)
     p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--chi-id", type=int, default=1)
     return top
@@ -420,6 +435,9 @@ def main(argv=None, out=None):
                                       (args.chi_id,))
         except (ValueError, ChiOrderNotCoprime) as exc:
             parser.error(str(exc))
+    if args.command == "scan" and args.kind == "cubic" and args.p == 3:
+        parser.error("a cubic scan needs p other than 3: the cubic "
+                     "character's order must be prime to p")
 
     if args.command == "classgroup":
         g = quadforms.class_group(args.disc)
@@ -435,15 +453,10 @@ def main(argv=None, out=None):
         rec = _fitting_cached(cache, args.ell, args.p, args.chi, args.chi_id)
         out.write(cycunits.table_line(rec))
     elif args.command == "capitulation":
-        field = cr.quadratic_real_field(args.ell)
-        group = quadforms.class_group(args.ell)
-        inv = tuple(quadforms.p_part(group, args.p))
-        try:
-            verdict = cr.classify(field, args.p, class_invariants=inv)
-        except InsufficientData:
-            rec = _fitting_cached(cache, args.ell, args.p, 2)
-            verdict = cr.classify(field, args.p, class_invariants=inv,
-                                  fitting=rec)
+        inv = tuple(quadforms.p_part(quadforms.class_group(args.ell), args.p))
+        verdict = _quadratic_verdict(
+            args.ell, args.p, inv,
+            lambda: _fitting_cached(cache, args.ell, args.p, 2))
         out.write(verdict.to_json() + "\n")
     elif args.command == "period":
         poly = fields.period_polynomial(args.ell, args.deg)

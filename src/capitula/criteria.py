@@ -208,6 +208,12 @@ FIXTURES = {
 # classifier
 
 
+def kernel_status(kernel, order):
+    """The status of a capitulation kernel of order kernel in a class part
+    of order order: none, full or partial."""
+    return "none" if kernel == 1 else "full" if kernel == order else "partial"
+
+
 def _cert(frag):
     return (frag["rule"], tuple(frag.get("inputs", ())))
 
@@ -290,9 +296,8 @@ def classify(field, p, class_invariants=None,
                           (("potential_subgroup_order", potential),)))
         if maximal_capitulation(ring, ideal):
             certs.append(("cor3_full", ()))
-        status = ("none" if kernel == 1
-                  else "full" if kernel == order else "partial")
-        return verdict(kernel, module.invariants, status)
+        return verdict(kernel, module.invariants,
+                       kernel_status(kernel, order))
 
     raise InsufficientData(
         "no rule certified a verdict and no Fitting record supplied"

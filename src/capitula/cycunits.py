@@ -19,11 +19,10 @@ Monte-Carlo-stabilized provenance flag.
 The unit ideal needs no stopping rule.  O is unramified and omega_n =
 T^(p^n) mod p, so R is local with maximal ideal (p, T), and I = R exactly
 when some sampled lambda lies outside (p, T) (Washington, Section 7.1).
-Until I first grows, that is decided mod p from the cell products in F_q,
-with one power per O/p-coordinate, and only a batch whose lambdas all lie
-in (p, T) takes the dlogs of the cells and grows I; once I has grown,
-every batch takes them, and the lambdas show the decision.  The chi ids of
-one conductor share one walk of the auxiliary primes, in lockstep batches,
+Every batch decides that mod p from the cell products in F_q, with one
+power per O/p-coordinate, and only a batch whose lambdas all lie in
+(p, T) takes the dlogs of the cells and grows I.  The chi ids of one
+conductor share one walk of the auxiliary primes, in lockstep batches,
 and the cell products and dlogs of each q: a chi id only picks the zeta
 power of each cell.
 """
@@ -255,11 +254,18 @@ _MAX_BATCHES = 60  # batches of 4 auxiliary primes before giving up
 
 
 def check_characters(ell, p, chi_order, chi_ids):
-    """Raise unless ell is prime, chi_order is prime to p and divides
-    (ell-1)/2, and each chi id names a character of exact order chi_order,
-    i.e. is prime to it."""
-    if not is_prime(ell):
-        raise ValueError(f"{ell} must be prime")
+    """Raise unless ell is an odd prime, p is prime, chi_order > 1 is prime
+    to p and divides (ell-1)/2, and each chi id names a character of exact
+    order chi_order, i.e. is prime to it.  The trivial character is left
+    out: the norm of u to Q is +-1, so every lambda vanishes at T = 0, I
+    lies in (T), and no p-power scalar is ever certified."""
+    if ell == 2 or not is_prime(ell):
+        raise ValueError(f"{ell} must be an odd prime")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} must be prime")
+    if chi_order < 2:
+        raise ValueError("chi order must be at least 2: the trivial "
+                         "character has no Fitting ideal to sample")
     if gcd(chi_order, p) != 1:
         raise ChiOrderNotCoprime(f"chi order {chi_order} not coprime to {p}")
     if ((ell - 1) // 2) % chi_order:
@@ -290,11 +296,10 @@ def compute_fitting_ideals(ell, p, chi_order, chi_ids,
     every batch of 4 primes maps u through F_q once, into the cells of the
     projection, for all chi ids still sampling.  R is local with maximal
     ideal (p, T) (O is unramified and omega_n = T^(p^n) mod p), so I is the
-    unit ideal exactly when some lambda lies outside (p, T).  Until a chi id
-    first grows I, that is decided mod p from the cell quotients, and only
-    a batch without such a lambda takes the dlogs of the cells, the
-    lambdas and the growth of I; after that, the lambdas are computed
-    anyway and show it.  A chi id's run succeeds once 5 consecutive batches
+    unit ideal exactly when some lambda lies outside (p, T).  Each batch
+    decides that mod p from the cell quotients, and only a batch without
+    such a lambda takes the dlogs of the cells, the lambdas and the growth
+    of I.  A chi id's run succeeds once 5 consecutive batches
     add nothing, meaning every new lambda already lies in I (or once I is
     the unit ideal, which is definitive since sampling only grows it).
     Without N, the precision starts at n + 3 and doubles, up to the cap,
@@ -326,16 +331,14 @@ def compute_fitting_ideals(ell, p, chi_order, chi_ids,
             for cid in sampling:
                 runs[cid].aux = len(used)
             # decide each chi id's unit mod (p, T), q by q, from the cell
-            # quotients, before any dlog.  Once a chi id has grown I, every
-            # batch computes its lambdas, and they show a unit themselves
+            # quotients, before any dlog
             held = []
             for q in batch:
                 w, d = _orbit_values(ell, q, orbit)
                 r = project.cell_quotients(d, q)
                 for cid in sampling:
                     run = runs[cid]
-                    if run.I is None and not run.unit:
-                        run.unit = project.is_unit(r, q, run.zeta)
+                    run.unit = run.unit or project.is_unit(r, q, run.zeta)
                 held.append((w, r, q))
             sampling = [cid for cid in sampling if not runs[cid].unit]
             sums = ([project.cell_dlogs(w, r, q) for w, r, q in held]
@@ -343,10 +346,6 @@ def compute_fitting_ideals(ell, p, chi_order, chi_ids,
             for cid in list(sampling):
                 run = runs[cid]
                 lams = [project(c, run.zeta) for c in sums]
-                if any((lam.arr[0] % p).any() for lam in lams):
-                    run.unit = True
-                    sampling.remove(cid)
-                    continue
                 # I is an R-ideal, so it holds the orbit of each lambda
                 # exactly when it holds lambda: a batch inside I leaves it
                 # unchanged

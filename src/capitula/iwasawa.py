@@ -6,6 +6,11 @@ their Z/p^N-module closures.
 R is a free Z/p^N-module on the monomials zeta^i T^j (0 <= i < f,
 0 <= j < p^n), f the residue degree of p in Q(zeta_m).  All quotient and
 membership questions reduce to exact linear algebra over Z/p^N.
+
+Multiplication by zeta and by T are the two shift-and-reduce steps, and
+every product in R reads one walk of the multiples zeta^i T^j b (_multiples):
+the orbit rows that an ideal's Howell form stacks, the product a*b as the
+sum of a[j, i] zeta^i T^j b, and the rows of x acting on a quotient R/I.
 """
 
 import re
@@ -72,44 +77,30 @@ def _poly_divmod(a, g, mod):
 
 
 def _poly_gcdext(a, b, p):
-    """Extended gcd over GF(p); returns (g, u, v) with u*a + v*b = g monic."""
+    """Extended gcd over GF(p); returns (g, v) with v*b = g (mod a), g
+    monic."""
     r0, r1 = [x % p for x in a], [x % p for x in b]
-    s0, s1 = [1], []
     t0, t1 = [], [1]
     while _poly_trim(list(r1)):
         q, r = _poly_divmod(r0, _poly_scale(r1, pow(r1[-1], -1, p), p), p)
         q = _poly_scale(q, pow(r1[-1], -1, p), p)
         r0, r1 = r1, _poly_add(r0, _poly_scale(_poly_mul(q, r1, p), -1, p), p)
-        s0, s1 = s1, _poly_add(s0, _poly_scale(_poly_mul(q, s1, p), -1, p), p)
         t0, t1 = t1, _poly_add(t0, _poly_scale(_poly_mul(q, t1, p), -1, p), p)
     lc = pow(r0[-1], -1, p)
-    return _poly_scale(r0, lc, p), _poly_scale(s0, lc, p), _poly_scale(t0, lc, p)
+    return _poly_scale(r0, lc, p), _poly_scale(t0, lc, p)
 
 
-def _cyclotomic_poly(m):
-    """Coefficients of the m-th cyclotomic polynomial (exact, little-endian)."""
-    # x^m - 1 divided by the cyclotomic polynomials of the proper divisors
-    num = [-1] + [0] * (m - 1) + [1]
+def _cyclotomic_poly(m, mod):
+    """Coefficients of the m-th cyclotomic polynomial mod mod
+    (little-endian)."""
+    # x^m - 1 divided by the monic cyclotomic polynomials of the proper
+    # divisors; division by a monic polynomial commutes with reduction
+    num = [mod - 1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            phi_d = _cyclotomic_poly(d)
-            q, r = _poly_divmod_exact(num, phi_d)
+            num, r = _poly_divmod(num, _cyclotomic_poly(d, mod), mod)
             assert not r
-            num = q
     return num
-
-
-def _poly_divmod_exact(a, g):
-    a = list(a)
-    q = [0] * max(0, len(a) - len(g) + 1)
-    while len(a) >= len(g) and _poly_trim(a):
-        d = len(a) - len(g)
-        c = a[-1]
-        q[d] = c
-        for i, x in enumerate(g):
-            a[d + i] = a[d + i] - c * x
-        _poly_trim(a)
-    return _poly_trim(q), _poly_trim(a)
 
 
 def _poly_pow_mod(a, e, g, p):
@@ -180,7 +171,7 @@ def _hensel_lift(phi, g, p, N):
     g = [x % p for x in g]
     h, rem = _poly_divmod(phi, g, p)
     assert not rem
-    _, a, b = _poly_gcdext(g, h, p)  # a*g + b*h = 1 mod p
+    _, b = _poly_gcdext(g, h, p)  # b*h = 1 mod (g, p)
     mod = p
     for _ in range(N - 1):
         newmod = mod * p
@@ -189,10 +180,10 @@ def _hensel_lift(phi, g, p, N):
         assert all(x % mod == 0 for x in e)
         ered = [x // mod % p for x in e]
         s = _poly_divmod(_poly_mul(b, ered, p), g, p)[1]
-        t = _poly_divmod_exact(
-            _poly_add(ered, _poly_scale(_poly_mul(s, h, p), -1, p), p), g
+        # the quotient over Z, reduced mod p: g is monic
+        t = _poly_divmod(
+            _poly_add(ered, _poly_scale(_poly_mul(s, h, p), -1, p), p), g, p
         )[0]
-        t = [x % p for x in t]
         g = _poly_add(g, _poly_scale(s, mod, newmod), newmod)
         h = _poly_add(h, _poly_scale(t, mod, newmod), newmod)
         mod = newmod
@@ -203,13 +194,12 @@ def _chi_minimal_poly(m, p, N):
     """The fixed irreducible factor of the m-th cyclotomic polynomial used to
     present Z_p[zeta_m] mod p^N: lexicographically least mod p, Hensel lifted.
     """
-    phi = _cyclotomic_poly(m)
-    phi_p = [x % p for x in phi]
-    factors = _factor_mod_p(phi_p, p)
+    phi = _cyclotomic_poly(m, p**N)
+    factors = _factor_mod_p([x % p for x in phi], p)
     factors.sort(key=lambda f: tuple(f))
     g0 = factors[0]
     if len(g0) == len(phi):
-        return [x % p**N for x in phi]
+        return phi
     return _hensel_lift(phi, g0, p, N)
 
 
@@ -239,17 +229,12 @@ class EigenRing:
         self.g = tuple(g)
         self.f = len(g) - 1
         self.rank = self.f * self.pn
-        # x^d mod g for d < 2f-1
-        xpow = np.zeros((2 * self.f - 1, self.f), dtype=np.int64)
-        cur = [1]
-        for d in range(2 * self.f - 1):
-            for i, c in enumerate(cur):
-                xpow[d, i] = c % self.mod
-            cur = _poly_divmod(_poly_mul(cur, [0, 1], self.mod), list(g), self.mod)[1]
-        xpow.setflags(write=False)
-        self.xpow = xpow
+        # x^f = sum_i zred[i] x^i mod g
+        zred = -np.array(g[:self.f], dtype=np.int64) % self.mod
+        zred.setflags(write=False)
+        self.zred = zred
         self._binomials = None
-        self._zeta = None
+        self._zeta = self.one().mul_zeta()
 
     def __eq__(self, other):
         return isinstance(other, EigenRing) and (
@@ -281,19 +266,7 @@ class EigenRing:
         return self.one().mul_t()  # omega_0 = T, so T = 0 when n = 0
 
     def zeta(self):
-        if self._zeta is None:
-            if self.f == 1:
-                arr = np.zeros((self.pn, 1), dtype=np.int64)
-                arr[0, 0] = (-self.g[0]) % self.mod  # root of the linear g
-                self._zeta = RingElement(self, arr)
-            else:
-                self._zeta = self.monomial(1, 0)
         return self._zeta
-
-    def monomial(self, i, j):
-        arr = np.zeros((self.pn, self.f), dtype=np.int64)
-        arr[j, i] = 1
-        return RingElement(self, arr)
 
     def from_vector(self, vec):
         arr = np.asarray(vec, dtype=np.int64).reshape(self.pn, self.f) % self.mod
@@ -372,55 +345,40 @@ class RingElement:
         return RingElement(self.ring, (self.arr * (c % self.ring.mod)))
 
     def mul_t(self):
+        """Shift up one T-row; T^(p^n) reduces by tred."""
         R = self.ring
         out = np.zeros_like(self.arr)
         out[1:] = self.arr[:-1]
         top = self.arr[-1]
+        # tred builds the (p^n+1)^2 binomial table: 4 MB at p^n = 729,
+        # which most walks never need
         if top.any():
             out += R.tred[:, None] * top[None, :] % R.mod
         return RingElement(R, out)
 
     def mul_zeta(self):
-        """Multiply by the basis generator x of O (= zeta when f > 1)."""
+        """Multiply by zeta, the class of x: shift up one x-column; x^f
+        reduces by zred."""
         R = self.ring
-        if R.f == 1:
-            return self.scale(int(R.zeta().arr[0, 0]))
-        out = np.zeros_like(self.arr)
-        # x * x^i = xpow[i+1]
-        for i in range(R.f):
-            col = self.arr[:, i]
-            if col.any():
-                out += col[:, None] * R.xpow[i + 1][None, :] % R.mod
+        out = self.arr[:, -1:] * R.zred % R.mod
+        out[:, 1:] += self.arr[:, :-1]
         return RingElement(R, out)
 
     def __mul__(self, other):
+        """The sum of a[j, i] zeta^i T^j other over the walk of other's
+        multiples, up to the last nonzero T-row of a = self.arr."""
         self._check(other)
         R = self.ring
-        pn, f = R.pn, R.f
-        a, b = self.arr, other.arr
-        wide = np.zeros((2 * pn - 1, 2 * f - 1), dtype=np.int64)
-        for j in range(pn):
-            row = a[j]
-            if not row.any():
-                continue
-            for i in range(f):
-                if row[i]:
-                    wide[j:j + pn, i:i + f] = (
-                        wide[j:j + pn, i:i + f] + row[i] * b
-                    ) % R.mod
-        # reduce x-degree
-        res = np.array(wide[:, :f])
-        for d in range(f, 2 * f - 1):
-            col = wide[:, d]
-            if col.any():
-                res = (res + col[:, None] * R.xpow[d][None, :]) % R.mod
-        # reduce T-degree, top down
-        for d in range(2 * pn - 2, pn - 1, -1):
-            top = res[d].copy()
-            if top.any():
-                res[d] = 0
-                res[d - pn:d] = (res[d - pn:d] + R.tred[:, None] * top[None, :]) % R.mod
-        return RingElement(R, res[:pn])
+        a = self.arr
+        rows = np.flatnonzero(a.any(axis=1))
+        degree = int(rows[-1]) + 1 if rows.size else 0
+        out = np.zeros_like(a)
+        for k, multiple in enumerate(_multiples(other, degree)):
+            c = a[k % degree, k // degree]
+            if c:
+                # c and each coordinate are below p^N, so c*x < 2^62
+                out = (out + c * multiple.arr) % R.mod
+        return RingElement(R, out)
 
     def __pow__(self, e):
         out = self.ring.one()
@@ -658,18 +616,22 @@ class RingIdeal:
             elt.flat(), self.howell, self.pivots, self.ring.p, self.ring.N))
 
 
+def _multiples(elt, degree):
+    """The walk zeta^i T^j elt for i < f and j < degree, i-major: multiple
+    i*degree + j is elt times the basis monomial at flat index j*f + i."""
+    for i in range(elt.ring.f):
+        if i:
+            elt = elt.mul_zeta()
+        cur = elt
+        for j in range(degree):
+            if j:
+                cur = cur.mul_t()
+            yield cur
+
+
 def _orbit_rows(elt):
     """Flattened coordinates of elt * zeta^i * T^j over the whole basis."""
-    R = elt.ring
-    rows = []
-    cur_z = elt
-    for _ in range(R.f):
-        cur = cur_z
-        for _ in range(R.pn):
-            rows.append(cur.flat())
-            cur = cur.mul_t()
-        cur_z = cur_z.mul_zeta()
-    return rows
+    return [m.flat() for m in _multiples(elt, elt.ring.pn)]
 
 
 @lru_cache(maxsize=None)
@@ -719,8 +681,13 @@ def _quotient(R, I):
     rel = I.howell[[r for r, _, k in I.pivots if k > 0]][:, C]
 
     def on_q(x):
-        rows = [howell_reduce((R.monomial(j % R.f, j // R.f) * x).flat(),
-                              I.howell, I.pivots, p, N)[C] for j in C]
+        # x*e_c for the columns c in C, read off the walk of x's multiples
+        # up to the T-degree of the last column
+        f = R.f
+        degree = int(C[-1]) // f + 1 if C.size else 0
+        walk = [m.flat() for m in _multiples(x, degree)]
+        rows = [howell_reduce(walk[c % f * degree + c // f], I.howell,
+                              I.pivots, p, N)[C] for c in C]
         return np.array(rows, dtype=np.int64).reshape(C.size, C.size)
 
     return C.size, rel, on_q

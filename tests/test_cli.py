@@ -68,6 +68,33 @@ class TestSubcommands:
         assert exc.value.code == 2
         assert "--mod" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("fitting", "--ell", "2", "--p", "3", "--chi", "2"), "odd prime"),
+        (("fitting", "--ell", "13", "--p", "3", "--chi", "1"), "chi order"),
+        (("fitting", "--ell", "13", "--p", "4", "--chi", "3"), "--p"),
+        (("export", "--file", "out.txt", "--ell", "13", "--p", "9", "--chi",
+          "2"), "--p"),
+        (("capitulation", "--ell", "229", "--p", "9"), "--p"),
+        (("scan", "--kind", "quad", "--p", "9", "--max", "100", "--mod",
+          "1:12"), "--p"),
+        (("scan", "--kind", "cubic", "--p", "3", "--max", "100"), "p other"),
+    ])
+    def test_rejects_inputs_without_an_answer(self, tmp_path, monkeypatch,
+                                              capsys, argv, flag):
+        # ell = 2, the trivial character, a composite p and a cubic scan at
+        # p = 3 can never give a correct answer: a usage error (exit code
+        # 2) before any aux prime is drawn or file written
+        def no_stream(*args):
+            raise AssertionError("an aux prime was drawn")
+
+        monkeypatch.setattr(cycunits, "_aux_prime_stream", no_stream)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--cache", str(tmp_path / "cache"), *argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_scan_rejects_long_without_flag(self):
         with pytest.raises(SystemExit):
             run_cli("scan", "--kind", "quad", "--p", "3", "--max", "20001")

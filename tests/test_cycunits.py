@@ -385,19 +385,6 @@ class TestComputeFittingIdeal:
         assert (rec.generators, rec.stabilization_count) == (("1",), 0)
         assert len(rec.aux_primes_used) == 4
 
-    @pytest.mark.parametrize("ell, p, chi_order, chi_ids", [
-        (13, 3, 2, (1,)), (313, 7, 3, (1, 2)), (7681, 2, 3, (1, 2))])
-    def test_lambdas_show_the_unit_ideal(self, monkeypatch, ell, p,
-                                         chi_order, chi_ids):
-        # once I has grown, a unit is read off the lambdas instead of
-        # decided mod (p, T) from the orbit; with the orbit test switched
-        # off, the first batch takes that path and gives the same records
-        want = cu.compute_fitting_ideals(ell, p, chi_order, chi_ids)
-        monkeypatch.setattr(cu._ChiProjector, "is_unit",
-                            lambda self, *args: False)
-        assert cu.compute_fitting_ideals(ell, p, chi_order, chi_ids) == want
-        assert want[0].generators == ("1",)
-
     @pytest.mark.parametrize("ell", [313, 7351])
     def test_chi_ids_share_each_orbit(self, monkeypatch, ell):
         # one run for both cubic characters at p = 7 maps u through each
@@ -445,6 +432,22 @@ class TestComputeFittingIdeal:
     def test_rejects_chi_order_not_dividing(self):
         with pytest.raises(ValueError):
             cu.compute_fitting_ideal(13, 3, 5)
+
+    @pytest.mark.parametrize("ell, p, chi_order, match", [
+        (2, 3, 2, "odd prime"), (13, 3, 1, "chi order"), (13, 9, 2, "prime"),
+        (13, 4, 3, "prime")])
+    def test_rejects_inputs_without_an_answer(self, monkeypatch, ell, p,
+                                              chi_order, match):
+        # every order divides (ell-1)/2 = 0 at ell = 2; the trivial
+        # character's lambdas all vanish at T = 0 (the norm of u is +-1),
+        # so no p-power scalar is ever certified; a composite p has no
+        # ring.  Each fails before any aux prime is drawn
+        def no_stream(*args):
+            raise AssertionError("an aux prime was drawn")
+
+        monkeypatch.setattr(cu, "_aux_prime_stream", no_stream)
+        with pytest.raises(ValueError, match=match):
+            cu.compute_fitting_ideal(ell, p, chi_order)
 
     def test_cross_check_small(self):
         # eigenspace order from the sampled ideal vs the 3-part of the

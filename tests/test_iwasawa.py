@@ -52,7 +52,7 @@ class TestRingMake:
     def test_ring_arrays_read_only(self):
         R = ring_ex2()
         with pytest.raises(ValueError):
-            R.xpow[0, 0] = 1
+            R.zred[0] = 1
         with pytest.raises(ValueError):
             R.tred[1] = 0
 
@@ -86,15 +86,15 @@ class TestRingMake:
 class TestElementArithmetic:
     def test_ring_axioms_random(self):
         rng = random.Random(4)
-        R = ring_ex3()
-        els = [
-            R.from_vector([rng.randrange(8) for _ in range(R.rank)])
-            for _ in range(6)
-        ]
-        for a, b, c in itertools.combinations(els, 3):
-            assert a * b == b * a
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
+        for R in (ring_ex3(), ring_ex1()):  # f = 2 and f = 1
+            els = [
+                R.from_vector([rng.randrange(R.mod) for _ in range(R.rank)])
+                for _ in range(6)
+            ]
+            for a, b, c in itertools.combinations(els, 3):
+                assert a * b == b * a
+                assert (a * b) * c == a * (b * c)
+                assert a * (b + c) == a * b + a * c
 
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatch):
@@ -106,7 +106,49 @@ class TestElementArithmetic:
             for _ in range(10):
                 v = R.from_vector([rng.randrange(R.mod) for _ in range(R.rank)])
                 assert v.mul_t() == v * R.T()
-                assert v.mul_zeta() == v * R.zeta() or R.f == 1
+                assert v.mul_zeta() == v * R.zeta()
+
+    @pytest.mark.parametrize("params", [
+        (7, 1, 3, 2), (3, 2, 2, 3), (2, 2, 3, 3), (2, 2, 1, 30)])
+    def test_mul_matches_polynomial_product(self, params):
+        # f = 1 (zeta = -1 and a split cube root of unity), f = 2, and
+        # p^N = 2^30; random T-degrees reach the truncated walks and zero
+        R = iw.ring_make(*params)
+        rng = random.Random(sum(params))
+        for _ in range(20):
+            a, b = (random_element(R, rng, rng.randrange(R.pn + 1))
+                    for _ in range(2))
+            assert (a * b).arr.tolist() == polynomial_product(R, a, b)
+
+
+def random_element(R, rng, degree):
+    """A random element whose T-rows at and above degree are zero."""
+    arr = np.zeros((R.pn, R.f), dtype=np.int64)
+    for j in range(degree):
+        arr[j] = [rng.randrange(R.mod) for _ in range(R.f)]
+    return R.from_vector(arr.reshape(-1))
+
+
+def polynomial_product(R, a, b):
+    """a*b from the definition: the product of sum a[j, i] x^i T^j and b
+    as Python-int polynomials in x and T, reduced by the monic g in x and
+    by omega_n(T) = (1+T)^(p^n) - 1 in T, mod p^N."""
+    f, pn = R.f, R.pn
+    c = [[0] * (2 * f - 1) for _ in range(2 * pn - 1)]
+    for (j, i), u in np.ndenumerate(a.arr):
+        for (k, h), v in np.ndenumerate(b.arr):
+            c[j + k][i + h] += int(u) * int(v)
+    for row in c:
+        for d in range(2 * f - 2, f - 1, -1):  # x^f = -sum g[i] x^i
+            for i in range(f):
+                row[d - f + i] -= row[d] * R.g[i]
+    omega = [math.comb(pn, k) for k in range(pn)]  # (1+T)^(p^n) - T^(p^n)
+    omega[0] = 0
+    for d in range(2 * pn - 2, pn - 1, -1):  # T^(p^n) = -sum omega[k] T^k
+        for k in range(1, pn):
+            for i in range(f):
+                c[d - pn + k][i] -= c[d][i] * omega[k]
+    return [[x % R.mod for x in row[:f]] for row in c[:pn]]
 
 
 class TestGrammar:
