@@ -16,9 +16,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from math import prod
 
-from . import cycunits, fields, iwasawa, quadforms
+from . import cycunits, fields, quadforms
 from . import criteria as cr
 from .arith import is_prime
 from .errors import (CapitulaError, ChiOrderNotCoprime, InsufficientData,
@@ -160,7 +159,8 @@ def _quadratic_verdict(ell, p, inv, fitting):
     try:
         return cr.classify(field, p, class_invariants=inv)
     except InsufficientData:
-        return cr.classify(field, p, class_invariants=inv, fitting=fitting())
+        return cr.classify(field, p, class_invariants=inv,
+                           ideals=[fitting().ideal()])
 
 
 def _scan_quadratic_one(args):
@@ -180,33 +180,10 @@ def _scan_quadratic_one(args):
         return _error_record(ell, "quadratic-real", p, exc, started), fresh
 
 
-def _merge_verdicts(verdicts, invs):
-    """Combine per-eigenspace verdicts for one field: kernels multiply,
-    certificates that assert completeness must hold in every eigenspace."""
-    if len(verdicts) == 1:
-        return verdicts[0]
-    if verdicts[0].status == "no-potential":
-        return verdicts[0]
-    order = prod(invs)
-    kernel = prod(v.kernel_order for v in verdicts)
-    kinvs = []
-    certs = []
-    for v in verdicts:
-        kinvs.extend(v.kernel_invariants or ())
-        for c in v.certificates:
-            if c not in certs:
-                certs.append(c)
-    for name in ("maximal_capitulation", "cor3_full"):
-        if not all(name in (c[0] for c in v.certificates) for v in verdicts):
-            certs = [c for c in certs if c[0] != name]
-    return cr.CapitulationVerdict(
-        verdicts[0].field, verdicts[0].p, kernel, tuple(sorted(kinvs)),
-        cr.kernel_status(kernel, order), tuple(certs))
-
-
 def _scan_cubic_one(args):
     """As _scan_quadratic_one, for the cyclic cubic field of conductor ell.
-    The chi ids that the cache misses are sampled in one run."""
+    The chi ids that the cache misses are sampled in one run, and the
+    verdict decides the direct sum of the chi ids' eigenspaces."""
     ell, p, cached = args  # cached: {chi id: record or None}
     started = time.monotonic()
     field = cr.cyclic_cubic_field(ell)
@@ -216,20 +193,13 @@ def _scan_cubic_one(args):
         if missing:
             fresh = cycunits.compute_fitting_ideals(ell, p, 3, missing)
         computed = {rec.chi_id: rec for rec in fresh}
-        invs, verdicts = [], []
-        for cid, hit in cached.items():
-            rec = hit if hit is not None else computed[cid]
-            R = rec.ring()
-            inv = iwasawa.eigenspace_class_invariants(R, rec.ideal(R))
-            if inv:
-                invs.extend(inv)
-                verdicts.append(
-                    cr.classify(field, p, class_invariants=inv, fitting=rec))
-        if not invs:
+        ideals = [(hit if hit is not None else computed[cid]).ideal()
+                  for cid, hit in cached.items()]
+        part = cr.eigenspace_class_part(ideals)
+        if not part:
             return None, fresh
-        verdict = _merge_verdicts(verdicts, invs)
-        return _record(ell, "cyclic-cubic", p, verdict, started,
-                       tuple(sorted(invs))), fresh
+        verdict = cr.classify(field, p, class_invariants=part, ideals=ideals)
+        return _record(ell, "cyclic-cubic", p, verdict, started, part), fresh
     except (StabilizationFailure, PrecisionTooLow, CapitulaError) as exc:
         return _error_record(ell, "cyclic-cubic", p, exc, started), fresh
 
@@ -379,6 +349,15 @@ def _prime(text):
     return p
 
 
+def _real_quadratic_conductor(text):
+    """The prime ell of capitulation --ell: Q(sqrt(ell)) has conductor ell
+    exactly when ell = 1 (mod 4)."""
+    ell = _prime(text)
+    if ell % 4 != 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not 1 (mod 4)")
+    return ell
+
+
 def _build_parser():
     top = argparse.ArgumentParser(prog="capitula")
     top.add_argument("--format", default="csv",
@@ -400,7 +379,7 @@ def _build_parser():
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--chi-id", type=int, default=1)
     p = sub.add_parser("capitulation")
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_real_quadratic_conductor, required=True)
     p.add_argument("--p", type=_prime, required=True)
     p = sub.add_parser("period")
     p.add_argument("--ell", type=int, required=True)

@@ -3,7 +3,7 @@
 Each decision rule is a pure function returning a small "fragment" dict
 (rule name, inputs, and what it certifies).  classify() applies the rules in
 a fixed order — no-potential, parity, imaginary bounds, and finally the
-eigenspace computation from a Fitting-ideal record —
+eigenspace computation from the Fitting ideals of the field's characters —
 and returns the strongest certified verdict together with the full
 certificate chain.  Undetermined is an honest output: the engine never
 guesses beyond certified rules; a handful of ad hoc resolutions live in an
@@ -208,35 +208,36 @@ FIXTURES = {
 # classifier
 
 
-def kernel_status(kernel, order):
-    """The status of a capitulation kernel of order kernel in a class part
-    of order order: none, full or partial."""
-    return "none" if kernel == 1 else "full" if kernel == order else "partial"
-
-
 def _cert(frag):
     return (frag["rule"], tuple(frag.get("inputs", ())))
 
 
-def classify(field, p, class_invariants=None,
-             fitting=None) -> CapitulationVerdict:
+def eigenspace_class_part(ideals) -> tuple:
+    """Invariants of the direct sum of the eigenspaces R/(I + (T)) of the
+    ideals, ascending."""
+    return tuple(sorted(d for I in ideals
+                        for d in eigenspace_class_invariants(I)))
+
+
+def classify(field, p, class_invariants=None, ideals=()) -> CapitulationVerdict:
     """Verdict for the p-part of the class group of `field` capitulating in
     its minimal cyclotomic field.  Rules are applied in a fixed order:
     no-potential, parity, imaginary bounds (+fixtures), then the eigenspace
-    computation from a Fitting-ideal record.  Exact eigenspace kernels win
-    over intervals.
+    computation.  Exact eigenspace kernels win over intervals.
+
+    ideals holds the Fitting ideal I of each of the field's characters at p.
+    The p-class part is the direct sum of the eigenspaces R/(I + (T)), read
+    off the ideals when class_invariants is None, and the capitulation
+    kernel is the direct sum of their kernels.  A trivial eigenspace is the
+    unit ideal, which adds kernel 1.
     """
     certs = []
-    ring = ideal = None
-    if fitting is not None:
-        ring = fitting.ring()
-        ideal = fitting.ideal(ring)
-        if class_invariants is None:
-            class_invariants = eigenspace_class_invariants(ring, ideal)
-            certs.append(("eigenspace_class_part",
-                          (("invariants", tuple(class_invariants)),)))
+    if class_invariants is None and ideals:
+        class_invariants = eigenspace_class_part(ideals)
+        certs.append(("eigenspace_class_part",
+                      (("invariants", class_invariants),)))
     if class_invariants is None:
-        raise InsufficientData("no class part and no Fitting record supplied")
+        raise InsufficientData("no class part and no Fitting ideal supplied")
     inv = tuple(class_invariants)
     order = prod(inv)
 
@@ -280,12 +281,13 @@ def classify(field, p, class_invariants=None,
         return verdict(frag["kernel_order"], frag["kernel_invariants"],
                        "undetermined")
 
-    # 4. eigenspace computation (exact kernel)
-    if fitting is not None:
-        module = capitulation_module(ring, ideal)
-        kernel = module.order
+    # 4. eigenspace computation (exact kernel of the direct sum)
+    if ideals:
+        modules = [capitulation_module(I) for I in ideals]
+        kernel = prod(m.order for m in modules)
+        kernel_inv = tuple(sorted(d for m in modules for d in m.invariants))
         certs.append(("eigenspace_kernel",
-                      (("order", kernel), ("invariants", module.invariants))))
+                      (("order", kernel), ("invariants", kernel_inv))))
         # maximal p-capitulation: every class with potential capitulation
         # (order dividing the p-part of phi(n)/degree) actually capitulates
         potential_exp = p_valuation(_euler_phi(field.conductor)
@@ -294,11 +296,12 @@ def classify(field, p, class_invariants=None,
         if kernel == potential and kernel > 1:
             certs.append(("maximal_capitulation",
                           (("potential_subgroup_order", potential),)))
-        if maximal_capitulation(ring, ideal):
+        if all(maximal_capitulation(I) for I in ideals):
             certs.append(("cor3_full", ()))
-        return verdict(kernel, module.invariants,
-                       kernel_status(kernel, order))
+        status = ("none" if kernel == 1 else "full" if kernel == order
+                  else "partial")
+        return verdict(kernel, kernel_inv, status)
 
     raise InsufficientData(
-        "no rule certified a verdict and no Fitting record supplied"
+        "no rule certified a verdict and no Fitting ideal supplied"
     )

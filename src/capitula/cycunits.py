@@ -217,12 +217,8 @@ class FittingIdealRecord:
     def ring(self) -> EigenRing:
         return ring_make(self.p, self.n, self.chi_order, self.N)
 
-    def ideal(self, ring=None) -> RingIdeal:
-        R = ring if ring is not None else self.ring()
-        if (R.p, R.n, R.chi_order, R.N) != (self.p, self.n, self.chi_order,
-                                            self.N):
-            raise RingMismatch("record parameters do not match the ring")
-        return ideal_make(R, list(self.generators))
+    def ideal(self) -> RingIdeal:
+        return ideal_make(self.ring(), list(self.generators))
 
 
 def tower_exponent(ell, p):

@@ -11,6 +11,9 @@ Multiplication by zeta and by T are the two shift-and-reduce steps, and
 every product in R reads one walk of the multiples zeta^i T^j b (_multiples):
 the orbit rows that an ideal's Howell form stacks, the product a*b as the
 sum of a[j, i] zeta^i T^j b, and the rows of x acting on a quotient R/I.
+
+An ideal carries its ring (RingIdeal.ring), so the ideal functions below
+take the ideal alone.
 """
 
 import re
@@ -386,8 +389,9 @@ class RingElement:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def flat(self):
@@ -543,9 +547,8 @@ def render_element(elt):
 class RingIdeal:
     """An ideal of an EigenRing as the Howell form of its Z/p^N span."""
 
-    def __init__(self, ring, gens, howell, pivots, scalar_level):
+    def __init__(self, ring, howell, pivots, scalar_level):
         self.ring = ring
-        self.gens = gens
         self.howell = howell
         self.pivots = pivots
         self.scalar_level = scalar_level  # min M certified with p^M in I, or None
@@ -563,8 +566,8 @@ class RingIdeal:
         return hash((self.ring, self.howell.tobytes()))
 
     def __repr__(self):
-        gens = ", ".join(render_element(g) for g in self.gens)
-        return f"RingIdeal({self.ring!r}, [{gens}])"
+        return (f"RingIdeal({self.ring!r}, rows={self.howell.shape[0]}, "
+                f"scalar_level={self.scalar_level})")
 
     def grow(self, gens) -> "RingIdeal":
         """The ideal generated by this one and gens: the Howell form of its
@@ -599,7 +602,7 @@ class RingIdeal:
             level = vis if level is None else min(level, vis)
         if level is not None:
             level = min(level, R.N)
-        return RingIdeal(R, self.gens + tuple(elements), H, piv, level)
+        return RingIdeal(R, H, piv, level)
 
     def contains(self, elt):
         if elt.ring != self.ring:
@@ -646,7 +649,7 @@ def ideal_make(R, gens) -> RingIdeal:
     """Ideal generated by gens (see RingIdeal.grow), grown from zero."""
     if not gens:
         raise ValueError("gens must be nonempty")
-    zero = RingIdeal(R, (), np.zeros((0, R.rank), dtype=np.int64), [], None)
+    zero = RingIdeal(R, np.zeros((0, R.rank), dtype=np.int64), [], None)
     return zero.grow(gens)
 
 
@@ -667,13 +670,14 @@ def _require_precision(I):
         )
 
 
-def _quotient(R, I):
+def _quotient(I):
     """Q = R/I presented from the Howell form of I.  A unit-pivot row is zero
     in every other unit-pivot column, so it only eliminates its own
     coordinate: Q = (Z/p^N)^C / rel, with C the c columns without a unit
     pivot and rel the non-unit-pivot rows restricted to C.  on_q(x) has the
     rows x*e_j for j in C, reduced modulo I and restricted to C; with rel
     they span xQ."""
+    R = I.ring
     p, N = R.p, R.N
     free = np.ones(R.rank, dtype=bool)
     free[[col for _, col, k in I.pivots if k == 0]] = False
@@ -693,33 +697,35 @@ def _quotient(R, I):
     return C.size, rel, on_q
 
 
-def eigenspace_class_invariants(R, I) -> tuple:
+def eigenspace_class_invariants(I) -> tuple:
     """Cyclic invariants of R/(I + (T)) — the chi-part of the class group
     as an abelian group.  R/(T) = O/p^N is the constant coefficient."""
     _require_precision(I)
+    R = I.ring
     return tuple(quotient_invariants(I.howell[:, :R.f], R.p, R.N))
 
 
-def eigenspace_class_order(R, I) -> int:
+def eigenspace_class_order(I) -> int:
     """|R/(I + (T))| — the order of the chi-part of the class group."""
-    return prod(eigenspace_class_invariants(R, I))
+    return prod(eigenspace_class_invariants(I))
 
 
-def level_class_order(R, I, m) -> int:
+def level_class_order(I, m) -> int:
     """|R/(I + (omega_m(T)))| = |Q/omega_m Q|; m = 0 recovers
     eigenspace_class_order."""
+    R = I.ring
     if not 0 <= m <= R.n:
         raise ValueError("level m out of range")
     _require_precision(I)
-    _, rel, on_q = _quotient(R, I)
+    _, rel, on_q = _quotient(I)
     return prod(quotient_invariants(np.vstack([on_q(R.omega(m)), rel]),
                                     R.p, R.N))
 
 
-def maximal_capitulation(R, I) -> bool:
+def maximal_capitulation(I) -> bool:
     """Whether omega_n(T)/T lies in I."""
     _require_precision(I)
-    return I.contains(R.omega_over_t())
+    return I.contains(I.ring.omega_over_t())
 
 
 @dataclass(frozen=True)
@@ -728,12 +734,13 @@ class CapitulationModule:
     invariants: tuple
 
 
-def _t_kernel_data(R, I):
+def _t_kernel_data(I):
     """The T-kernel K = {f : Tf in I} and W = I + (omega_n(T)/T) as Howell
     forms, and the relations rel of I, all in the presentation of Q = R/I
     by _quotient."""
+    R = I.ring
     p, N = R.p, R.N
-    c, rel, on_q = _quotient(R, I)
+    c, rel, on_q = _quotient(I)
     if not c:
         empty = np.zeros((0, 0), dtype=np.int64)
         return empty, empty, empty
@@ -754,18 +761,18 @@ def _relative_invariants(K, W, p, N):
     return quotient_invariants(rel, p, N)
 
 
-def t_kernel_order(R, I) -> int:
+def t_kernel_order(I) -> int:
     """|{f : Tf in I}/I|; equals |R/(I+(T))| (kernel/cokernel duality)."""
     _require_precision(I)
-    K, _, rel = _t_kernel_data(R, I)
-    return prod(_relative_invariants(K, rel, R.p, R.N))
+    K, _, rel = _t_kernel_data(I)
+    return prod(_relative_invariants(K, rel, I.ring.p, I.ring.N))
 
 
-def capitulation_module(R, I) -> CapitulationModule:
+def capitulation_module(I) -> CapitulationModule:
     """The module {f : Tf in I}/(I + (omega_n(T)/T)) — trivial exactly when
     there is no capitulation, and of full class order for maximal
     capitulation."""
     _require_precision(I)
-    K, W, _ = _t_kernel_data(R, I)
-    invariants = tuple(_relative_invariants(K, W, R.p, R.N))
+    K, W, _ = _t_kernel_data(I)
+    invariants = tuple(_relative_invariants(K, W, I.ring.p, I.ring.N))
     return CapitulationModule(prod(invariants), invariants)

@@ -40,23 +40,23 @@ class TestIngestedFixtures:
     def test_conductor_2089(self):
         R = iwasawa.ring_make(3, 2, 2, 3)
         I = iwasawa.ideal_make(R, ["T-3", "27"])
-        assert iwasawa.eigenspace_class_order(R, I) == 3
-        assert iwasawa.capitulation_module(R, I).order == 1
-        assert not iwasawa.maximal_capitulation(R, I)
+        assert iwasawa.eigenspace_class_order(I) == 3
+        assert iwasawa.capitulation_module(I).order == 1
+        assert not iwasawa.maximal_capitulation(I)
         assert I.reduce(R.omega_over_t()) == I.reduce(R.scalar((4**9 - 1) // 3))
 
     def test_conductor_7489(self):
         R = iwasawa.ring_make(2, 5, 3, 3)
         I = iwasawa.ideal_make(R, ["T+2+4*z", "8"])
-        assert iwasawa.eigenspace_class_order(R, I) == 4
-        assert iwasawa.maximal_capitulation(R, I)
+        assert iwasawa.eigenspace_class_order(I) == 4
+        assert iwasawa.maximal_capitulation(I)
 
     def test_conductor_9337(self):
         R = iwasawa.ring_make(2, 2, 3, 3)
         I = iwasawa.ideal_make(R, ["T+4-2*z", "8"])
-        assert iwasawa.eigenspace_class_order(R, I) == 4
-        assert not iwasawa.maximal_capitulation(R, I)
-        assert iwasawa.capitulation_module(R, I).order == 1
+        assert iwasawa.eigenspace_class_order(I) == 4
+        assert not iwasawa.maximal_capitulation(I)
+        assert iwasawa.capitulation_module(I).order == 1
 
 
 # ---------------------------------------------------------------------------
@@ -67,17 +67,17 @@ class TestFittingRecomputation:
     def test_conductor_2089_bit_exact(self):
         rec = cycunits.compute_fitting_ideal(2089, 3, 2, N=3)
         R = rec.ring()
-        assert rec.ideal(R) == iwasawa.ideal_make(R, ["T-3", "27"])
+        assert rec.ideal() == iwasawa.ideal_make(R, ["T-3", "27"])
 
     def test_conductor_7489_bit_exact(self):
         rec = cycunits.compute_fitting_ideal(7489, 2, 3, chi_id=2, N=3)
         R = rec.ring()
-        assert rec.ideal(R) == iwasawa.ideal_make(R, ["T+2+4*z", "8"])
+        assert rec.ideal() == iwasawa.ideal_make(R, ["T+2+4*z", "8"])
 
     def test_conductor_9337_bit_exact(self):
         rec = cycunits.compute_fitting_ideal(9337, 2, 3, chi_id=1, N=3)
         R = rec.ring()
-        assert rec.ideal(R) == iwasawa.ideal_make(R, ["T+4-2*z", "8"])
+        assert rec.ideal() == iwasawa.ideal_make(R, ["T+4-2*z", "8"])
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +92,7 @@ class TestQuadraticCrossCheck:
                 continue
             rec = (fitting_2917 if ell == 2917
                    else cycunits.compute_fitting_ideal(ell, 3, 2))
-            R = rec.ring()
-            order = iwasawa.eigenspace_class_order(R, rec.ideal(R))
+            order = iwasawa.eigenspace_class_order(rec.ideal())
             part = 1
             for d in quadforms.p_part(quadforms.class_group(ell), 3):
                 part *= d
@@ -157,7 +156,7 @@ class TestQuadraticSurvey:
         part = tuple(quadforms.p_part(quadforms.class_group(114889), 3))
         assert part == (3, 3)
         verdict = criteria.classify(field, 3, class_invariants=part,
-                                    fitting=fitting_114889)
+                                    ideals=[fitting_114889.ideal()])
         assert verdict.kernel_order == 3
         assert verdict.status == "partial"
 
@@ -206,7 +205,7 @@ class TestCubicSurvey:
     def test_conductor_163_parity_verdict(self):
         field = criteria.cyclic_cubic_field(163)
         rec = cycunits.compute_fitting_ideal(163, 2, 3)
-        verdict = criteria.classify(field, 2, fitting=rec)
+        verdict = criteria.classify(field, 2, ideals=[rec.ideal()])
         assert verdict.status == "none"
         names = [name for name, _ in verdict.certificates]
         assert "parity_obstruction" in names
@@ -261,14 +260,13 @@ class TestShippedTableReplay:
         count = 0
         for p, chi_order, chi_id in tables:
             for rec in cli._cache_load(cache, p, chi_order, chi_id).values():
-                R = rec.ring()
-                I = rec.ideal(R)
-                h = iwasawa.eigenspace_class_order(R, I)
-                assert iwasawa.t_kernel_order(R, I) == h
-                cm = iwasawa.capitulation_module(R, I)
+                I = rec.ideal()
+                h = iwasawa.eigenspace_class_order(I)
+                assert iwasawa.t_kernel_order(I) == h
+                cm = iwasawa.capitulation_module(I)
                 assert h % cm.order == 0
                 assert cm.order == prod(cm.invariants)
-                assert iwasawa.maximal_capitulation(R, I) == (cm.order == h)
+                assert iwasawa.maximal_capitulation(I) == (cm.order == h)
                 count += 1
         assert count == 1882
 
@@ -376,8 +374,8 @@ class TestProperties:
                 vec = [rng.randrange(R.mod) for _ in range(R.rank)]
                 gens.append(R.from_vector(vec))
             I = iwasawa.ideal_make(R, gens + [R.scalar(R.p)])
-            assert iwasawa.t_kernel_order(R, I) == \
-                iwasawa.eigenspace_class_order(R, I)
+            assert iwasawa.t_kernel_order(I) == \
+                iwasawa.eigenspace_class_order(I)
 
     def test_composition_group_laws(self):
         for d in (-39, -84, 60, 229):

@@ -13,7 +13,7 @@ def quad_verdict(ell, rec=None):
     rec = rec or cu.compute_fitting_ideal(ell, 3, 2)
     inv = tuple(qf.p_part(qf.class_group(ell), 3))
     return cr.classify(cr.quadratic_real_field(ell), 3,
-                       class_invariants=inv, fitting=rec)
+                       class_invariants=inv, ideals=[rec.ideal()])
 
 
 def cert_names(v):
@@ -129,19 +129,44 @@ class TestClassifyQuadratic:
         # kernel: both routes must agree
         for ell in (229, 733, 1129, 1489):
             rec = cu.compute_fitting_ideal(ell, 3, 2)
-            R = rec.ring()
-            I = rec.ideal(R)
-            hF = iw.eigenspace_class_order(R, I)
-            hL = iw.level_class_order(R, I, 1)
+            I = rec.ideal()
+            hF = iw.eigenspace_class_order(I)
+            hL = iw.level_class_order(I, 1)
             frag = cr.lemma4_i(
                 tuple(qf.p_part(qf.class_group(ell), 3)), hL, 3, 1, True)
-            assert frag["kernel_order"] == iw.capitulation_module(R, I).order
+            assert frag["kernel_order"] == iw.capitulation_module(I).order
+
+
+class TestClassifyDirectSum:
+    # at p = 7 a cyclic cubic field's class part is the direct sum of its
+    # chi- and chi^-1-eigenspaces: the kernels multiply, and
+    # maximal_capitulation and cor3_full must hold on the whole sum
+    @pytest.mark.parametrize("gens, want", [
+        ((("T", "7"), ("T-7", "49")), ("partial", 7, (7,), False, False)),
+        ((("T", "7"), ("T^2", "7")), ("full", 49, (7, 7), True, True)),
+        ((("T", "49"), ("T", "7")), ("partial", 49, (7, 7), True, False)),
+        ((("T", "49"), ("T-7", "49")), ("partial", 7, (7,), False, False)),
+        ((("T-7", "49"), ("1",)), ("none", 1, (), False, False)),
+        ((("T", "7"), ("1",)), ("full", 7, (7,), True, True)),
+    ])
+    def test_cubic_p7(self, gens, want):
+        R = iw.ring_make(7, 1, 3, 3)
+        ideals = [iw.ideal_make(R, list(g)) for g in gens]
+        v = cr.classify(cr.cyclic_cubic_field(43), 7, ideals=ideals)
+        names = cert_names(v)
+        assert (v.status, v.kernel_order, v.kernel_invariants,
+                "maximal_capitulation" in names, "cor3_full" in names) == want
+        assert len(names) == len(set(names))
+        part = sorted(d for I in ideals
+                      for d in iw.eigenspace_class_invariants(I))
+        assert dict(v.certificates)["eigenspace_class_part"] == (
+            ("invariants", tuple(part)),)
 
 
 class TestClassifyCubicAndImaginary:
     def test_163_parity_with_both_certificates(self):
         rec = cu.compute_fitting_ideal(163, 2, 3)
-        v = cr.classify(cr.cyclic_cubic_field(163), 2, fitting=rec)
+        v = cr.classify(cr.cyclic_cubic_field(163), 2, ideals=[rec.ideal()])
         assert v.status == "none"
         names = cert_names(v)
         assert "potential_capitulation" in names
@@ -202,7 +227,7 @@ class TestVerdictSerialization:
                            class_invariants=inv)
         rec = cu.compute_fitting_ideal(257, 3, 2)
         more = cr.classify(cr.quadratic_real_field(257), 3,
-                           class_invariants=inv, fitting=rec)
+                           class_invariants=inv, ideals=[rec.ideal()])
         assert base.status == more.status == "no-potential"
 
     def test_kernel_divides_class_part(self):

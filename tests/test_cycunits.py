@@ -456,7 +456,7 @@ class TestComputeFittingIdeal:
             if not is_prime(ell):
                 continue
             rec = cu.compute_fitting_ideal(ell, 3, 2)
-            order = iw.eigenspace_class_order(rec.ring(), rec.ideal())
+            order = iw.eigenspace_class_order(rec.ideal())
             part = 1
             for v in qf.p_part(qf.class_group(ell), 3):
                 part *= v
@@ -510,7 +510,7 @@ class TestTables:
         recs = cu.ingest_table(path)
         assert [r.ell for r in recs] == [2089, 9337]
         R = recs[0].ring()
-        assert iw.eigenspace_class_order(R, recs[0].ideal()) == 3
+        assert iw.eigenspace_class_order(recs[0].ideal()) == 3
 
     def test_ingest_level_zero_line(self, tmp_path):
         # n = 0 (7 does not divide (37-1)/2): T = omega_0 vanishes in R,
@@ -519,8 +519,8 @@ class TestTables:
         path.write_text("ell=37 p=7 chi=3 n=0 prec=3 gens=[T+1,7]\n")
         (rec,) = cu.ingest_table(path)
         R = rec.ring()
-        assert rec.ideal(R) == iw.ideal_make(R, ["1"])
-        assert iw.eigenspace_class_order(R, rec.ideal(R)) == 1
+        assert rec.ideal() == iw.ideal_make(R, ["1"])
+        assert iw.eigenspace_class_order(rec.ideal()) == 1
 
     def test_ingest_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
