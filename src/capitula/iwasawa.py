@@ -734,23 +734,13 @@ class CapitulationModule:
     invariants: tuple
 
 
-def _t_kernel_data(I):
-    """The T-kernel K = {f : Tf in I} and W = I + (omega_n(T)/T) as Howell
-    forms, and the relations rel of I, all in the presentation of Q = R/I
-    by _quotient."""
-    R = I.ring
+def _t_kernel(R, c, rel, on_q):
+    """The T-kernel K = {f : Tf in I} as a Howell form and its pivots, in
+    the presentation c, rel, on_q of Q = R/I by _quotient (c > 0)."""
     p, N = R.p, R.N
-    c, rel, on_q = _quotient(I)
-    if not c:
-        empty = np.zeros((0, 0), dtype=np.int64)
-        return empty, empty, empty
     # x is in K exactly when x on_q(T) lies in the span of rel
     kernel = left_kernel(np.vstack([on_q(R.T()), rel]), p, N)[:, :c]
-    K, kpiv = howell_array(np.vstack([kernel, rel]), p, N)
-    W, _ = howell_array(np.vstack([on_q(R.omega_over_t()), rel]), p, N)
-    if not all(howell_contains(K, kpiv, row, p, N) for row in W):
-        raise AssertionError("omega_n/T multiples must lie in the T-kernel")
-    return K, W, rel
+    return howell_array(np.vstack([kernel, rel]), p, N)
 
 
 def _relative_invariants(K, W, p, N):
@@ -764,15 +754,46 @@ def _relative_invariants(K, W, p, N):
 def t_kernel_order(I) -> int:
     """|{f : Tf in I}/I|; equals |R/(I+(T))| (kernel/cokernel duality)."""
     _require_precision(I)
-    K, _, rel = _t_kernel_data(I)
-    return prod(_relative_invariants(K, rel, I.ring.p, I.ring.N))
+    R = I.ring
+    c, rel, on_q = _quotient(I)
+    if not c:
+        return 1
+    K, _ = _t_kernel(R, c, rel, on_q)
+    return prod(_relative_invariants(K, rel, R.p, R.N))
 
 
 def capitulation_module(I) -> CapitulationModule:
     """The module {f : Tf in I}/(I + (omega_n(T)/T)) — trivial exactly when
     there is no capitulation, and of full class order for maximal
-    capitulation."""
+    capitulation.
+
+    In Q = R/I the module is K/W, with K the kernel of T and W the image of
+    nu = omega_n(T)/T.  An endomorphism of a finite module has a kernel as
+    large as its cokernel, so |K/W| = |Q/TQ| |Q/nu Q| / |Q|: two Smith
+    forms give the first two orders, and |Q| is read off the Howell form of
+    I, whose span has order p^(N - k) per pivot p^k.  The Howell forms of K
+    and W are built only when that order leaves K/W open: it is trivial at
+    order 1, and it is Q itself when T and nu both kill Q."""
     _require_precision(I)
-    K, W, _ = _t_kernel_data(I)
-    invariants = tuple(_relative_invariants(K, W, I.ring.p, I.ring.N))
-    return CapitulationModule(prod(invariants), invariants)
+    R = I.ring
+    p, N = R.p, R.N
+    c, rel, on_q = _quotient(I)
+    nu = on_q(R.omega_over_t())
+    q_order = p ** (N * (R.rank - len(I.pivots))
+                    + sum(k for _, _, k in I.pivots))
+    t_order = eigenspace_class_order(I)
+    nu_order = prod(quotient_invariants(np.vstack([nu, rel]), p, N))
+    order = t_order * nu_order // q_order
+    if order == 1:
+        return CapitulationModule(1, ())
+    if t_order == nu_order == q_order:
+        return CapitulationModule(order,
+                                  tuple(quotient_invariants(rel, p, N)))
+    K, kpiv = _t_kernel(R, c, rel, on_q)
+    W, _ = howell_array(np.vstack([nu, rel]), p, N)
+    if not all(howell_contains(K, kpiv, row, p, N) for row in W):
+        raise AssertionError("omega_n/T multiples must lie in the T-kernel")
+    invariants = tuple(_relative_invariants(K, W, p, N))
+    if prod(invariants) != order:
+        raise AssertionError("|K/W| must be |Q/TQ| |Q/nu Q| / |Q|")
+    return CapitulationModule(order, invariants)

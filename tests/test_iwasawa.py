@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from capitula import iwasawa as iw
+from capitula.arith import howell_array
 from capitula.errors import ChiOrderNotCoprime, ParseError, PrecisionTooLow, \
     RingMismatch
 
@@ -341,6 +342,38 @@ class TestIdealBruteForce:
                 order *= d
             assert order == cm.order
             assert iw.maximal_capitulation(I) == (cm.order == h)
+
+    def test_module_agrees_with_howell_forms(self):
+        # capitulation_module builds the Howell forms of K and W only when
+        # the orders leave K/W open; on a sample meeting K = W, K = Q with
+        # W = 0, and neither, its invariants are those that K and W give
+        rng = random.Random(53)
+        seen = set()
+        for R in small_rings() + [iw.ring_make(2, 1, 3, 4)]:
+            p, N = R.p, R.N
+            for _ in range(8):
+                pk = p ** rng.randrange(1, N + 1)  # an int certifies p^N
+                gens = rng.choice([
+                    [pk],
+                    [R.T(), pk],
+                    [g.mul_t() + h.scale(p) for g, h in
+                     zip(random_gens(R, rng), random_gens(R, rng))] + [pk],
+                ])
+                I = iw.ideal_make(R, gens)
+                c, rel, on_q = iw._quotient(I)
+                expected = ()
+                if c:
+                    K, _ = iw._t_kernel(R, c, rel, on_q)
+                    W, _ = howell_array(
+                        np.vstack([on_q(R.omega_over_t()), rel]), p, N)
+                    expected = tuple(iw._relative_invariants(K, W, p, N))
+                cm = iw.capitulation_module(I)
+                assert cm.invariants == expected
+                assert cm.order == math.prod(expected)
+                seen.add("K = W" if cm.order == 1 else
+                         "K = Q, W = 0" if I.contains(R.T())
+                         and iw.maximal_capitulation(I) else "open")
+        assert seen == {"K = W", "K = Q, W = 0", "open"}
 
 
 class TestIdealMake:
