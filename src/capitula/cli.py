@@ -1,15 +1,17 @@
 """Command-line driver: survey scans, persistence, and report generation.
 
-Scans walk primes in an arithmetic progression, decide capitulation via the
-criteria engine (computing Fitting ideals only when the cheap rules cannot
-certify a verdict), and emit one SurveyRecord per prime with a nontrivial
-p-class part.  Failed conductors become first-class status=error rows so
-aggregate counts stay auditable.  Reports are byte-deterministic for
-identical record lists.
+Scans walk the fields of prime conductor in a range and send each one down
+one path, _scan_one: its cached Fitting records, or else those sampled for
+it, give its ideals, which the criteria engine reads only when the cheap
+rules cannot certify a verdict.  A scan emits one SurveyRecord per field
+with a nontrivial p-class part.  Failed conductors become first-class
+status=error rows so aggregate counts stay auditable.  Reports are
+byte-deterministic for identical record lists.
 """
 
 import argparse
 import concurrent.futures
+import functools
 import io
 import json
 import os
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 from . import cycunits, fields, quadforms
 from . import criteria as cr
 from .arith import is_prime
-from .errors import (CapitulaError, ChiOrderNotCoprime, InsufficientData,
-                     PrecisionTooLow, RingMismatch, StabilizationFailure)
+from .errors import CapitulaError, ChiOrderNotCoprime, RingMismatch
 
 CSV_COLUMNS = ("ell", "kind", "p", "class_part", "status", "kernel",
                "certificates", "timing_ms", "provenance")
@@ -126,23 +127,24 @@ def _cache_append(cache_dir, records):
             fh.write(cycunits.table_line(rec))
 
 
-def _fitting(ell, p, chi_order, cached, fresh, chi_id=1):
-    """cached, the cache's record for ell, or else a newly computed record,
-    which is also appended to the list fresh for the caller to store."""
-    if cached is not None:
-        return cached
-    rec = cycunits.compute_fitting_ideal(ell, p, chi_order, chi_id=chi_id)
-    fresh.append(rec)
-    return rec
+def _fitting_records(ell, p, chi_order, cached):
+    """The Fitting records of ell, one for each chi id of cached ({chi id:
+    the cache's record or None}) and in its order, with the misses sampled
+    in one run; and the newly sampled records, for the caller to store."""
+    missing = [cid for cid, hit in cached.items() if hit is None]
+    fresh = (cycunits.compute_fitting_ideals(ell, p, chi_order, missing)
+             if missing else [])
+    computed = {rec.chi_id: rec for rec in fresh}
+    return [hit if hit is not None else computed[cid]
+            for cid, hit in cached.items()], fresh
 
 
 def _fitting_cached(cache_dir, ell, p, chi_order, chi_id=1):
     """The Fitting record of ell from the cache table, or else computed and
     appended to it: the one cache path of the single-conductor commands."""
-    fresh = []
-    rec = _fitting(ell, p, chi_order,
-                   _cache_load(cache_dir, p, chi_order, chi_id).get(ell),
-                   fresh, chi_id)
+    (rec,), fresh = _fitting_records(
+        ell, p, chi_order,
+        {chi_id: _cache_load(cache_dir, p, chi_order, chi_id).get(ell)})
     _cache_append(cache_dir, fresh)
     return rec
 
@@ -151,64 +153,50 @@ def _fitting_cached(cache_dir, ell, p, chi_order, chi_id=1):
 # scans
 
 
-def _quadratic_verdict(ell, p, inv, fitting):
-    """The verdict for the p-part inv of the class group of Q(sqrt(ell)):
-    the rules first, and the record fitting() only when they certify
-    nothing."""
-    field = cr.quadratic_real_field(ell)
-    try:
-        return cr.classify(field, p, class_invariants=inv)
-    except InsufficientData:
-        return cr.classify(field, p, class_invariants=inv,
-                           ideals=[fitting().ideal()])
-
-
-def _scan_quadratic_one(args):
-    """The survey record of one conductor (None when its p-part is trivial)
-    and the Fitting records computed for it, which the caller stores."""
-    ell, p, cached = args
+def _scan_one(task):
+    """The survey record of one field (None when its p-class part is
+    trivial) and the Fitting records sampled for it, which the caller
+    stores.  cached holds the cache's record, or None, for each chi id.
+    The class part of a real quadratic field comes from its forms, that of
+    any other field from its ideals, which are built at most once and only
+    when needed."""
+    field, p, cached = task
+    ell = field.conductor
     started = time.monotonic()
     fresh = []
-    try:
-        inv = tuple(quadforms.p_part(quadforms.class_group(ell), p))
-        if not inv:
-            return None, fresh
-        verdict = _quadratic_verdict(
-            ell, p, inv, lambda: _fitting(ell, p, 2, cached, fresh))
-        return _record(ell, "quadratic-real", p, verdict, started, inv), fresh
-    except (StabilizationFailure, PrecisionTooLow, CapitulaError) as exc:
-        return _error_record(ell, "quadratic-real", p, exc, started), fresh
 
+    @functools.cache
+    def ideals():
+        records, new = _fitting_records(ell, p, field.degree, cached)
+        fresh.extend(new)
+        return [rec.ideal() for rec in records]
 
-def _scan_cubic_one(args):
-    """As _scan_quadratic_one, for the cyclic cubic field of conductor ell.
-    The chi ids that the cache misses are sampled in one run, and the
-    verdict decides the direct sum of the chi ids' eigenspaces."""
-    ell, p, cached = args  # cached: {chi id: record or None}
-    started = time.monotonic()
-    field = cr.cyclic_cubic_field(ell)
-    fresh = []
     try:
-        missing = [cid for cid, hit in cached.items() if hit is None]
-        if missing:
-            fresh = cycunits.compute_fitting_ideals(ell, p, 3, missing)
-        computed = {rec.chi_id: rec for rec in fresh}
-        ideals = [(hit if hit is not None else computed[cid]).ideal()
-                  for cid, hit in cached.items()]
-        part = cr.eigenspace_class_part(ideals)
+        if field.kind == "quadratic-real":
+            part = tuple(quadforms.p_part(quadforms.class_group(ell), p))
+        else:
+            part = cr.eigenspace_class_part(ideals())
         if not part:
             return None, fresh
         verdict = cr.classify(field, p, class_invariants=part, ideals=ideals)
-        return _record(ell, "cyclic-cubic", p, verdict, started, part), fresh
-    except (StabilizationFailure, PrecisionTooLow, CapitulaError) as exc:
-        return _error_record(ell, "cyclic-cubic", p, exc, started), fresh
+        return _record(ell, field.kind, p, verdict, started, part), fresh
+    except CapitulaError as exc:
+        return _error_record(ell, field.kind, p, exc, started), fresh
 
 
-def _run_scan(worker, tasks, jobs, cache):
-    """The survey records of the tasks, in task order.  Workers only
-    compute; this process appends each task's new Fitting records to the
-    cache as its result arrives, so no two processes write one table and an
-    interrupted scan keeps its finished work."""
+def _scan(fields, p, chi_order, jobs, cache):
+    """The survey records of the fields, in order.  Each cache table is read
+    once, and each task carries its field and its own records.  Workers
+    only compute; this process appends each task's new Fitting records to
+    the cache as its result arrives, so no two processes write one table
+    and an interrupted scan keeps its finished work."""
+    # p = 1 (mod 3): the two conjugate cubic characters give distinct
+    # p-adic eigenspaces, and the class part is their direct sum
+    chi_ids = (1, 2) if chi_order == 3 and p % 3 == 1 else (1,)
+    tables = {cid: _cache_load(cache, p, chi_order, cid) for cid in chi_ids}
+    tasks = [(field, p, {cid: t.get(field.conductor)
+                         for cid, t in tables.items()})
+             for field in fields]
     records = []
 
     def collect(results):
@@ -219,34 +207,27 @@ def _run_scan(worker, tasks, jobs, cache):
 
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as ex:
-            collect(ex.map(worker, tasks, chunksize=4))
+            collect(ex.map(_scan_one, tasks, chunksize=4))
     else:
-        collect(map(worker, tasks))
+        collect(map(_scan_one, tasks))
     return records
 
 
 def scan_quadratic(p, residue, modulus, ell_max, jobs=1, cache=None):
     """Records for primes ell = residue (mod modulus), ell < ell_max, whose
-    real quadratic field Q(sqrt(ell)) has a nontrivial p-class part.  The
-    cache table is read once, and each task carries its own record."""
-    table = _cache_load(cache, p, 2)
-    tasks = [(ell, p, table.get(ell))
-             for ell in range(residue, ell_max, modulus)
-             if ell > 4 and is_prime(ell)]
-    return _run_scan(_scan_quadratic_one, tasks, jobs, cache)
+    real quadratic field Q(sqrt(ell)) has a nontrivial p-class part."""
+    fields = [cr.quadratic_real_field(ell)
+              for ell in range(residue, ell_max, modulus)
+              if ell > 4 and is_prime(ell)]
+    return _scan(fields, p, 2, jobs, cache)
 
 
 def scan_cubic(p, ell_max, jobs=1, cache=None):
     """Records for cubic fields of prime conductor ell = 1 (mod 3),
-    ell < ell_max, with nontrivial p-part of the chi-eigenspace.  Each cache
-    table is read once, and each task carries its own records."""
-    # p = 1 (mod 3): the two conjugate cubic characters give distinct
-    # p-adic eigenspaces, and the class part is their direct sum
-    chi_ids = (1, 2) if p % 3 == 1 else (1,)
-    tables = {cid: _cache_load(cache, p, 3, cid) for cid in chi_ids}
-    tasks = [(ell, p, {cid: t.get(ell) for cid, t in tables.items()})
-             for ell in range(7, ell_max, 3) if is_prime(ell)]
-    return _run_scan(_scan_cubic_one, tasks, jobs, cache)
+    ell < ell_max, with nontrivial p-part of the chi-eigenspace."""
+    fields = [cr.cyclic_cubic_field(ell)
+              for ell in range(7, ell_max, 3) if is_prime(ell)]
+    return _scan(fields, p, 3, jobs, cache)
 
 
 def survey_imaginary(bound=100):
@@ -417,6 +398,10 @@ def main(argv=None, out=None):
     if args.command == "scan" and args.kind == "cubic" and args.p == 3:
         parser.error("a cubic scan needs p other than 3: the cubic "
                      "character's order must be prime to p")
+    if args.command == "scan" and args.kind == "quad" and (
+            args.mod[1] % 4 or args.mod[0] % 4 != 1):
+        parser.error("--mod a:m needs 4 | m and a = 1 (mod 4): Q(sqrt(ell)) "
+                     "has conductor ell only for ell = 1 (mod 4)")
 
     if args.command == "classgroup":
         g = quadforms.class_group(args.disc)
@@ -432,10 +417,11 @@ def main(argv=None, out=None):
         rec = _fitting_cached(cache, args.ell, args.p, args.chi, args.chi_id)
         out.write(cycunits.table_line(rec))
     elif args.command == "capitulation":
-        inv = tuple(quadforms.p_part(quadforms.class_group(args.ell), args.p))
-        verdict = _quadratic_verdict(
-            args.ell, args.p, inv,
-            lambda: _fitting_cached(cache, args.ell, args.p, 2))
+        ell, p = args.ell, args.p
+        inv = tuple(quadforms.p_part(quadforms.class_group(ell), p))
+        verdict = cr.classify(
+            cr.quadratic_real_field(ell), p, class_invariants=inv,
+            ideals=lambda: [_fitting_cached(cache, ell, p, 2).ideal()])
         out.write(verdict.to_json() + "\n")
     elif args.command == "period":
         poly = fields.period_polynomial(args.ell, args.deg)

@@ -5,11 +5,14 @@ Each decision rule is a pure function returning a small "fragment" dict
 a fixed order — no-potential, parity, imaginary bounds, and finally the
 eigenspace computation from the Fitting ideals of the field's characters —
 and returns the strongest certified verdict together with the full
-certificate chain.  Undetermined is an honest output: the engine never
-guesses beyond certified rules; a handful of ad hoc resolutions live in an
-explicit fixture table.
+certificate chain.  The ideals come from a function that classify() calls
+only when no rule decides, so a caller never computes a Fitting ideal that
+the rules make unnecessary.  Undetermined is an honest output: the engine
+never guesses beyond certified rules; a handful of ad hoc resolutions live
+in an explicit fixture table.
 """
 
+import functools
 import json
 from dataclasses import dataclass
 from math import gcd, prod
@@ -77,6 +80,7 @@ class CapitulationVerdict:
         return json.dumps(doc)
 
 
+@functools.cache  # classify asks for each conductor's phi up to 3 times
 def _euler_phi(n):
     out = n
     for q in factor(n).primes():
@@ -156,7 +160,7 @@ def lemma4_iii(ell, class_part_L):
     }
 
 
-def imaginary_bound(field, class_invariants):
+def imaginary_bound(class_invariants):
     """Bounds for an imaginary quadratic field with units {+-1}: any
     capitulating class has order dividing 4 (so order > 4 elements are
     certified non-capitulating), and exponent-2 class groups capitulate
@@ -219,21 +223,25 @@ def eigenspace_class_part(ideals) -> tuple:
                         for d in eigenspace_class_invariants(I)))
 
 
-def classify(field, p, class_invariants=None, ideals=()) -> CapitulationVerdict:
+def classify(field, p, class_invariants=None,
+             ideals=None) -> CapitulationVerdict:
     """Verdict for the p-part of the class group of `field` capitulating in
     its minimal cyclotomic field.  Rules are applied in a fixed order:
     no-potential, parity, imaginary bounds (+fixtures), then the eigenspace
     computation.  Exact eigenspace kernels win over intervals.
 
-    ideals holds the Fitting ideal I of each of the field's characters at p.
-    The p-class part is the direct sum of the eigenspaces R/(I + (T)), read
-    off the ideals when class_invariants is None, and the capitulation
-    kernel is the direct sum of their kernels.  A trivial eigenspace is the
-    unit ideal, which adds kernel 1.
+    ideals, when given, is a function that returns the Fitting ideal I of
+    each of the field's characters at p.  It is called at most once: when
+    class_invariants is None, or when no rule certifies a verdict.  The
+    p-class part is the direct sum of the eigenspaces R/(I + (T)), read off
+    the ideals when class_invariants is None, and the capitulation kernel
+    is the direct sum of their kernels.  A trivial eigenspace is the unit
+    ideal, which adds kernel 1.
     """
     certs = []
-    if class_invariants is None and ideals:
-        class_invariants = eigenspace_class_part(ideals)
+    if class_invariants is None and ideals is not None:
+        ideals = functools.cache(ideals)  # step 4 reads them again
+        class_invariants = eigenspace_class_part(ideals())
         certs.append(("eigenspace_class_part",
                       (("invariants", class_invariants),)))
     if class_invariants is None:
@@ -268,7 +276,7 @@ def classify(field, p, class_invariants=None, ideals=()) -> CapitulationVerdict:
 
     # 3. imaginary quadratic bounds and fixtures
     if field.kind == "quadratic-imaginary" and p in (2, "all"):
-        frag = imaginary_bound(field, inv)
+        frag = imaginary_bound(inv)
         certs.append(_cert(frag))
         fix = FIXTURES.get((field.kind, field.conductor))
         if frag["status"] != "undetermined":
@@ -282,8 +290,9 @@ def classify(field, p, class_invariants=None, ideals=()) -> CapitulationVerdict:
                        "undetermined")
 
     # 4. eigenspace computation (exact kernel of the direct sum)
-    if ideals:
-        modules = [capitulation_module(I) for I in ideals]
+    if ideals is not None:
+        found = ideals()
+        modules = [capitulation_module(I) for I in found]
         kernel = prod(m.order for m in modules)
         kernel_inv = tuple(sorted(d for m in modules for d in m.invariants))
         certs.append(("eigenspace_kernel",
@@ -296,7 +305,7 @@ def classify(field, p, class_invariants=None, ideals=()) -> CapitulationVerdict:
         if kernel == potential and kernel > 1:
             certs.append(("maximal_capitulation",
                           (("potential_subgroup_order", potential),)))
-        if all(maximal_capitulation(I) for I in ideals):
+        if all(maximal_capitulation(I) for I in found):
             certs.append(("cor3_full", ()))
         status = ("none" if kernel == 1 else "full" if kernel == order
                   else "partial")

@@ -33,7 +33,7 @@ def _zeta_mul(u, v, ell):
     return out
 
 
-def _zeta_to_int(u, ell):
+def _zeta_to_int(u):
     """The rational integer represented by u, using sum_k zeta^k = -1."""
     if any(c != u[1] for c in u[2:]):
         raise AssertionError("coefficient is not rational")
@@ -135,7 +135,7 @@ def period_polynomial(ell, m) -> PeriodPolynomial:
                 new[j][k] += prod[k]
                 new[j + 1][k] += c[k]
         poly = new
-    coeffs = tuple(_zeta_to_int(c, ell) for c in poly)
+    coeffs = tuple(_zeta_to_int(c) for c in poly)
     assert coeffs[-1] == 1 and len(coeffs) == m + 1
     if not _irreducible_mod_some_prime(coeffs, ell):
         raise AssertionError("period polynomial failed irreducibility check")

@@ -81,7 +81,7 @@ def reduce_definite(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(a, b, c)
 
 
-def _is_reduced_indefinite(a, b, c, d, s):
+def _is_reduced_indefinite(a, b, d):
     # |sqrt(d) - 2|a|| < b < sqrt(d), all exact
     if b <= 0 or b * b >= d:
         return False
@@ -92,7 +92,7 @@ def _is_reduced_indefinite(a, b, c, d, s):
     return u * u > d
 
 
-def _rho(a, b, c, d, s):
+def _rho(b, c, d, s):
     """One reduction/cycle step for indefinite forms."""
     cc = 2 * abs(c)
     if abs(c) > s:
@@ -111,8 +111,8 @@ def reduce_indefinite(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     d = f.discriminant
     s = isqrt(d)
     a, b, c = f.a, f.b, f.c
-    while not _is_reduced_indefinite(a, b, c, d, s):
-        a, b, c = _rho(a, b, c, d, s)
+    while not _is_reduced_indefinite(a, b, d):
+        a, b, c = _rho(b, c, d, s)
     return BinaryQuadraticForm(a, b, c)
 
 
@@ -121,10 +121,10 @@ def _cycle(f: BinaryQuadraticForm):
     d = f.discriminant
     s = isqrt(d)
     out = [f]
-    g = BinaryQuadraticForm(*_rho(f.a, f.b, f.c, d, s))
+    g = BinaryQuadraticForm(*_rho(f.b, f.c, d, s))
     while g != f:
         out.append(g)
-        g = BinaryQuadraticForm(*_rho(g.a, g.b, g.c, d, s))
+        g = BinaryQuadraticForm(*_rho(g.b, g.c, d, s))
     return out
 
 
@@ -225,7 +225,7 @@ def _reduced_indefinite_forms(d):
         for a in _divisors(n):
             for aa in (a, -a):
                 f = BinaryQuadraticForm(aa, b, (b * b - d) // (4 * aa))
-                if _is_reduced_indefinite(f.a, f.b, f.c, d, s) and f.is_primitive():
+                if _is_reduced_indefinite(f.a, f.b, d) and f.is_primitive():
                     forms.append(f)
     return sorted(set(forms))
 

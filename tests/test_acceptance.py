@@ -156,7 +156,7 @@ class TestQuadraticSurvey:
         part = tuple(quadforms.p_part(quadforms.class_group(114889), 3))
         assert part == (3, 3)
         verdict = criteria.classify(field, 3, class_invariants=part,
-                                    ideals=[fitting_114889.ideal()])
+                                    ideals=lambda: [fitting_114889.ideal()])
         assert verdict.kernel_order == 3
         assert verdict.status == "partial"
 
@@ -205,7 +205,7 @@ class TestCubicSurvey:
     def test_conductor_163_parity_verdict(self):
         field = criteria.cyclic_cubic_field(163)
         rec = cycunits.compute_fitting_ideal(163, 2, 3)
-        verdict = criteria.classify(field, 2, ideals=[rec.ideal()])
+        verdict = criteria.classify(field, 2, ideals=lambda: [rec.ideal()])
         assert verdict.status == "none"
         names = [name for name, _ in verdict.certificates]
         assert "parity_obstruction" in names
@@ -214,9 +214,9 @@ class TestCubicSurvey:
 
 
 class TestShippedTableReplay:
-    """The cubic surveys to 10^4 replayed from the shipped .scan_cache/
-    tables alone: each scan reads its tables once, and no Fitting ideal is
-    sampled."""
+    """The cubic and quadratic surveys replayed from the shipped
+    .scan_cache/ tables alone: each scan reads its tables once, and no
+    Fitting ideal is sampled."""
 
     @pytest.fixture
     def cache(self, tmp_path, monkeypatch):
@@ -254,6 +254,16 @@ class TestShippedTableReplay:
         by_ell = {r.ell: r for r in recs}
         assert by_ell[7351].class_part == (49,)
         assert by_ell[7351].status == "full"
+
+    def test_quadratic_surveys(self, cache):
+        recs = cli.scan_quadratic(3, 1, 12, 10000, cache=cache)
+        assert len(recs) == 32
+        assert sum(1 for r in recs
+                   if "maximal_capitulation" in r.certificates) == 26
+        assert sum(1 for r in recs if r.status == "none") == 6
+        recs = cli.scan_quadratic(5, 1, 20, 20000, cache=cache)
+        assert len(recs) == 17
+        assert all(r.provenance == "eigenspace" for r in recs)
 
     def test_quotient_identities_on_every_record(self, cache):
         tables = ((2, 3, 1), (3, 2, 1), (5, 2, 1), (7, 3, 1), (7, 3, 2))

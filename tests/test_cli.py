@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from capitula import cli, cycunits
-from capitula.errors import RingMismatch
+from capitula import cli, criteria, cycunits
+from capitula.errors import PrecisionTooLow, RingMismatch
 
 SHIPPED = Path(__file__).resolve().parent.parent / ".scan_cache"
 
@@ -82,13 +82,18 @@ class TestSubcommands:
         (("capitulation", "--ell", "7", "--p", "3"), "--ell"),
         (("capitulation", "--ell", "15", "--p", "3"), "--ell"),
         (("capitulation", "--ell", "85", "--p", "3"), "--ell"),
+        (("scan", "--kind", "quad", "--p", "3", "--max", "400", "--mod",
+          "3:4"), "--mod"),
+        (("scan", "--kind", "quad", "--p", "3", "--max", "400", "--mod",
+          "1:2"), "--mod"),
     ])
     def test_rejects_inputs_without_an_answer(self, tmp_path, monkeypatch,
                                               capsys, argv, flag):
         # ell = 2, the trivial character, a composite p, a capitulation
-        # conductor that is not a prime = 1 (mod 4) and a cubic scan at
-        # p = 3 can never give a correct answer: a usage error (exit code
-        # 2) before any aux prime is drawn or file written
+        # conductor that is not a prime = 1 (mod 4), a quadratic scan over
+        # a class holding primes = 3 (mod 4) and a cubic scan at p = 3 can
+        # never give a correct answer: a usage error (exit code 2) before
+        # any aux prime is drawn or file written
         def no_stream(*args):
             raise AssertionError("an aux prime was drawn")
 
@@ -237,9 +242,35 @@ class TestScans:
         def boom(*a, **kw):
             raise AssertionError("should have used the cache")
 
-        monkeypatch.setattr(cycunits, "compute_fitting_ideal", boom)
+        # every sampling run draws its aux primes from this stream
+        monkeypatch.setattr(cycunits, "_aux_prime_stream", boom)
         recs = cli.scan_quadratic(3, 1, 12, 300, cache=cache)
         assert [r.ell for r in recs] == [229]
+
+    @pytest.mark.parametrize("scan, table, ell", [
+        (lambda cache: cli.scan_quadratic(3, 1, 12, 300, cache=cache),
+         (3, 2), 229),
+        (lambda cache: cli.scan_cubic(2, 300, cache=cache), (2, 3), 277),
+    ], ids=["quad", "cubic"])
+    def test_failed_verdict_keeps_sampled_records(self, tmp_path,
+                                                  monkeypatch, scan, table,
+                                                  ell):
+        # the verdict of ell fails after its ideal was sampled: its row is
+        # an error, and the cache still gets every sampled record
+        clean = str(tmp_path / "clean")
+        want = scan(clean)
+
+        def fail(ideal):
+            raise PrecisionTooLow("injected")
+
+        monkeypatch.setattr(criteria, "capitulation_module", fail)
+        failed = str(tmp_path / "failed")
+        got = scan(failed)
+        assert [(r.ell, r.status) for r in got] == [
+            (r.ell, "error" if r.ell == ell else r.status) for r in want]
+        tables = [Path(cli._cache_path(d, *table)).read_text(encoding="utf-8")
+                  for d in (clean, failed)]
+        assert tables[0] == tables[1]
 
     def test_cache_load_stamps_chi_id(self, tmp_path):
         cache = shipped_cache(tmp_path, "fitting_p7_chi3_id2.txt")
