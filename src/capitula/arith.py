@@ -1,11 +1,11 @@
 """Exact integer and residue-ring arithmetic.
 
 Primality, factorization, discrete logs in the p-power subgroups of prime
-fields, and linear algebra over Z/p^N.  That has one elimination, the
-one-pass Howell form: membership, canonical residues and left kernels are
-read off it.  Smith forms return only the valuations of their invariants.
-Everything here is deterministic and pure; the rest of the library builds
-on it.
+fields, products mod q over arrays, and linear algebra over Z/p^N.  That
+has one elimination, the one-pass Howell form: membership, canonical
+residues and left kernels are read off it.  Smith forms return only the
+valuations of their invariants.  Everything here is deterministic and
+pure; the rest of the library builds on it.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,14 @@ import numpy as np
 
 from .errors import NotAGenerator, NotPrime, Overflow
 
-# Deterministic Miller-Rabin witness set, valid for all n < 2^64.
+# Deterministic Miller-Rabin witness set, valid for all n < 2^64, and the
+# leading bases that already decide every n below a bound: the bounds are
+# the least strong pseudoprimes to the first 4 (Pomerance, Selfridge and
+# Wagstaff, Math. Comp. 35, 1980), 6 (Jaeschke, Math. Comp. 61, 1993) and 9
+# (Sorenson and Webster, Math. Comp. 86, 2017) primes
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_TIERS = ((3215031751, _MR_BASES[:4]), (3474749660383, _MR_BASES[:6]),
+             (3825123056546413051, _MR_BASES[:9]))
 
 _SIEVE_BOUND = 1 << 16
 _small_primes = None
@@ -53,7 +59,12 @@ def is_prime(n: int) -> bool:
             return n == p
     r = p_valuation(n - 1, 2)
     d = (n - 1) >> r
-    for a in _MR_BASES:
+    bases = _MR_BASES
+    for bound, tier in _MR_TIERS:
+        if n < bound:
+            bases = tier
+            break
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -180,6 +191,30 @@ def p_power_dlogs(values, g, q, p, e):
         return out
     except KeyError:
         raise NotAGenerator(f"a value lies outside <{g}> mod {q}") from None
+
+
+_DIRECT_BOUND = isqrt((1 << 63) - 1) + 1  # (q-1)^2 < 2^63 up to here
+_LIMB_BOUND = 1 << 47  # (q-1) * 2^16 < 2^63 below here
+
+
+def mulmod(a, b, q):
+    """a*b mod q elementwise, for arrays (or nested lists) of residues in
+    [0, q), as an array: int64 below 2^47, dtype=object (Python ints) from
+    there on.
+
+    Up to _DIRECT_BOUND the int64 product is exact.  Below 2^47, b is split
+    into 16-bit limbs and taken by Horner, r -> (r*2^16 mod q + a*limb) mod
+    q, every term below (q-1)*2^16 < 2^63."""
+    dtype = np.int64 if q < _LIMB_BOUND else object
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    if q <= _DIRECT_BOUND or q >= _LIMB_BOUND:
+        return a * b % q
+    shift = (q.bit_length() - 1) // 16 * 16
+    r = a * (b >> shift) % q
+    while shift:
+        shift -= 16
+        r = ((r << 16) % q + a * (b >> shift & 0xFFFF)) % q
+    return r
 
 
 # ---------------------------------------------------------------------------

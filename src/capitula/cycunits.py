@@ -30,12 +30,12 @@ power of each cell.
 import os
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import (check_int64_sums, howell_array, is_prime, p_power_dlogs,
-                    p_valuation, primitive_root)
+from .arith import (check_int64_sums, howell_array, is_prime, mulmod,
+                    p_power_dlogs, p_valuation, primitive_root)
 from .errors import (BadAuxPrime, ChiOrderNotCoprime, ParseError,
                      PrecisionTooLow, RingMismatch, StabilizationFailure)
 from .iwasawa import (EigenRing, RingIdeal, ideal_make, parse_element,
@@ -69,26 +69,50 @@ def _aux_prime_stream(ell, p, n_prec):
 
 def _orbit(ell):
     """The orbit b = g^e mod ell, e < (ell-1)/2, of the least primitive
-    root g mod ell: one exponent of rho per element of Gal(Q(zeta_l)+/Q)."""
+    root g mod ell, as an index array: one exponent of rho per element of
+    Gal(Q(zeta_l)+/Q)."""
     g = primitive_root(ell)
     orbit = [1]
     for _ in range((ell - 1) // 2 - 1):
         orbit.append(orbit[-1] * g % ell)
-    return orbit
+    return np.array(orbit, dtype=np.int64)
 
 
 def _orbit_values(ell, q, orbit):
     """(w, d) with w the least primitive root mod q and d[e] = rho^b -
-    rho^-b at b = orbit[e], rho = w^((q-1)/ell), an integer in (-q, q) read
-    off a table of the ell powers of rho."""
+    rho^-b mod q at b = orbit[e], rho = w^((q-1)/ell): an array of residues
+    in [0, q), of arith.mulmod's dtype.  d is gathered from the ell powers
+    of rho, formed as one outer product of the s = ceil(sqrt(ell)) baby
+    steps rho^j and the giant steps rho^(s*i), i < ceil(ell/s)."""
     w = primitive_root(q)
     rho = pow(w, (q - 1) // ell, q)
-    powers = [1] * ell
-    x = 1
-    for k in range(1, ell):
-        x = x * rho % q
-        powers[k] = x
-    return w, [powers[b] - powers[ell - b] for b in orbit]
+    s = isqrt(ell - 1) + 1
+    baby = [1] * s
+    for j in range(1, s):
+        baby[j] = baby[j - 1] * rho % q
+    step = baby[-1] * rho % q
+    giant = [[1]]
+    for _ in range((ell - 1) // s):
+        giant.append([giant[-1][0] * step % q])
+    powers = mulmod(giant, baby, q).reshape(-1)
+    return w, (powers[orbit] - powers[ell - orbit]) % q
+
+
+def _cell_rows(num, den, K):
+    """The indices i of the cell maps num and den (arrays of cells in [0,
+    K), one per i) grouped by cell: 2K rows, those of num first, each
+    padded to the widest cell with the index len(num) of an appended 1.
+    The cells of a character's projection are equal, of len(num)/K indices
+    each, as chi_order divides the prime-to-p part of (ell-1)/2."""
+    half = len(num)
+    cells = np.concatenate([num, K + den])
+    order = np.argsort(cells, kind="stable")
+    counts = np.bincount(cells, minlength=2 * K)
+    rows = np.full((2 * K, counts.max()), half)
+    # the place of each index in its row: its rank after its row's start
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    rows[cells[order], np.arange(2 * half) - starts] = order % half
+    return rows
 
 
 class _ChiProjector:
@@ -107,11 +131,14 @@ class _ChiProjector:
     the pn x m grid, and on chi only through the zeta power of each column
     y mod m.  A dlog turns products into sums, so the sum over cell k is
     the dlog of N_k/D_k: N_k the product of the d[i] with (1-i) mod half in
-    cell k, D_k that of the d[i] with -i mod half in it.  Per q that takes
-    2*half multiplications, one inversion for all the D_k (Montgomery's
-    batch inversion, Math. Comp. 48, 1987), and pn*m powers into the
-    order-p^N subgroup with their dlogs, shared by all chi; each chi then
-    expands its cell sums with the binomials of (1+T)^x and its zeta
+    cell k, D_k that of the d[i] with -i mod half in it.  self.cells lists
+    the indices i of each cell in a row, the N_k rows first (_cell_rows).
+    Per q that takes one gather of d into those rows and a product tree
+    along them (2*half multiplications in log2(half/K) array products, K =
+    pn*m the number of cells), one inversion for all the D_k
+    (Montgomery's batch inversion, Math. Comp. 48, 1987), and K powers into
+    the order-p^N subgroup with their dlogs, shared by all chi; each chi
+    then expands its cell sums with the binomials of (1+T)^x and its zeta
     powers."""
 
     def __init__(self, ring, half):
@@ -123,8 +150,7 @@ class _ChiProjector:
         es = _SIGMA_SIGN * np.arange(half, dtype=np.int64) % half
         cell = es * pow(D, -1, pn) % pn * m + es * pow(pn, -1, D) % D % m
         i = np.arange(half)
-        self.num = cell[(1 - i) % half].tolist()
-        self.den = cell[-i % half].tolist()
+        self.cells = _cell_rows(cell[(1 - i) % half], cell[-i % half], pn * m)
         self.binomials_t = ring.binomials()[:pn, :pn].T
         # zeta^0, ..., zeta^(m-1) in the O-basis
         self.zpow = np.zeros((m, ring.f), dtype=np.int64)
@@ -141,14 +167,20 @@ class _ChiProjector:
         return self.zpow[[_CHI_SIGN * chi_id * y % m for y in range(m)]]
 
     def cell_quotients(self, d, q):
-        """N_k/D_k mod q for each cell k, from the orbit values d mod q."""
+        """N_k/D_k mod q for each cell k, from the orbit values d, an array
+        of residues mod q: the rows of self.cells gathered from d and
+        multiplied pairwise down to one column."""
         if (q - 1) % self.modulus:
             raise BadAuxPrime(f"q = {q} is not 1 mod {self.modulus}")
+        v = np.append(d, 1)[self.cells]
+        while v.shape[1] > 1:
+            h = v.shape[1] // 2
+            if v.shape[1] % 2:
+                v[:, 0] = mulmod(v[:, 0], v[:, -1], q)
+            v = mulmod(v[:, :h], v[:, h:2 * h], q)
         K = self.ring.pn * self.ring.chi_order
-        num, den = [1] * K, [1] * K
-        for x, a, b in zip(d, self.num, self.den):
-            num[a] = num[a] * x % q
-            den[b] = den[b] * x % q
+        prods = v[:, 0].tolist()
+        num, den = prods[:K], prods[K:]
         # one inverse of the product of all D_k, peeled back cell by cell
         # with the prefix products
         prefix, acc = [], 1

@@ -57,6 +57,84 @@ class TestPrimality:
         for n in (2089, 7489, 9337, 114889):
             assert arith.is_prime(n)
 
+    def test_matches_sieve(self):
+        assert [n for n in range(1 << 16)
+                if arith.is_prime(n)] == arith._sieve_primes()
+
+
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n, bases):
+    """Whether the odd n > 37 passes the strong test to every base."""
+    r, d = 0, n - 1
+    while d % 2 == 0:
+        r, d = r + 1, d // 2
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class TestMillerRabinTiers:
+    # the least strong pseudoprimes to the first 4, 6, 7 and 8, and 9
+    # prime bases, with their factors: each passes the bases of the tier
+    # below it, so a tier that takes fewer bases, or is used at its bound
+    # itself, calls it prime
+    @pytest.mark.parametrize("n, factors, bases", [
+        (3215031751, (151, 751, 28351), 4),
+        (3474749660383, (1303, 16927, 157543), 6),
+        (341550071728321, (10670053, 32010157), 8),
+        (3825123056546413051, (149491, 747451, 34233211), 9)])
+    def test_rejects_least_strong_pseudoprimes(self, n, factors, bases):
+        assert prod(factors) == n and min(factors) > 1
+        assert strong_probable_prime(n, MR_BASES[:bases])
+        assert not arith.is_prime(n)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (41, 3215031751), (3215031751, 3474749660383),
+        (3474749660383, 3825123056546413051),
+        (3825123056546413051, 1 << 64), (1 << 64, 1 << 80)])
+    def test_matches_all_twelve_bases(self, lo, hi):
+        # random odd n of each tier, the odd n next to its ends and the next
+        # primes after random starts, against the test with all 12 bases
+        # after trial division by them
+        rng = random.Random(lo)
+        ns = [rng.randrange(lo, hi) | 1 for _ in range(400)]
+        ns += [n for n in range(lo - 40, lo + 40) if n % 2 and n > 37]
+        ns += [n for n in range(hi - 40, hi + 40) if n % 2]
+        for _ in range(20):
+            n = rng.randrange(lo, hi) | 1
+            while not strong_probable_prime(n, MR_BASES):
+                n += 2
+            ns.append(n)
+        for n in ns:
+            want = (all(n % a for a in MR_BASES)
+                    and strong_probable_prime(n, MR_BASES))
+            assert arith.is_prime(n) == want, n
+
+
+class TestMulmod:
+    # on each side of the switch from the int64 product to 16-bit limbs
+    # (3037000500) and from limbs to Python ints (2^47), and near 2^39
+    @pytest.mark.parametrize("q, dtype", [
+        (3037000500, np.int64), (3037000501, np.int64),
+        ((1 << 39) - 7, np.int64), ((1 << 47) - 1, np.int64),
+        (1 << 47, object), ((1 << 47) + 5, object)])
+    def test_matches_python_ints(self, q, dtype):
+        rng = random.Random(q)
+        xs = [0, 1, q - 2, q - 1] + [rng.randrange(q) for _ in range(60)]
+        got = arith.mulmod([[x] for x in xs], xs, q)
+        assert got.dtype == dtype
+        assert got.tolist() == [[x * y % q for y in xs] for x in xs]
+
 
 def subgroup_generator(p, e):
     """The least prime q = 1 (mod p^e), a primitive root w mod q, and the

@@ -83,6 +83,30 @@ def unit_image_by_dict(ell, p, N, q):
     return out
 
 
+def cell_maps(ring, half):
+    """The cells of the numerator and denominator of each orbit index i:
+    those of sigma^e at e = 1 - i and -i mod half, with sigma^e = pi0^x
+    delta0^y in cell x*m + (y mod m)."""
+    pn, m = ring.pn, ring.chi_order
+    D = half // pn
+    e = cu._SIGMA_SIGN * np.arange(half) % half
+    cell = e * pow(D, -1, pn) % pn * m + e * pow(pn, -1, D) % D % m
+    i = np.arange(half)
+    return cell[(1 - i) % half], cell[-i % half]
+
+
+def cell_quotients_by_loop(ring, half, d, q):
+    """Reference cell quotients: each orbit value multiplied into its
+    numerator and denominator cell one at a time, in Python ints, and each
+    quotient taken with its own inverse."""
+    K = ring.pn * ring.chi_order
+    num, den = [1] * K, [1] * K
+    for x, a, b in zip(d, *cell_maps(ring, half)):
+        num[a] = num[a] * int(x) % q
+        den[b] = den[b] * int(x) % q
+    return [a * pow(b, -1, q) % q for a, b in zip(num, den)]
+
+
 def cell_lambdas(project, ell, q, chi_id):
     """lambda at q through the cell products of project."""
     w, d = cu._orbit_values(ell, q, cu._orbit(ell))
@@ -132,13 +156,15 @@ class TestUnitImage:
         # entry, of the unit image from the definition, at the first aux
         # primes: p^n*m = half at 2917, one dlog digit at 2857 and 7681
         # (f = 2), two at 401 and 211.  A cell map rotated by one index
-        # gives another lambda on the same inputs
+        # gives another lambda on the same inputs: index i takes the cells
+        # of i + 1, and the projector reads the rows grouped from those maps
         R = working_ring(ell, p, chi_order)
         half = (ell - 1) // 2
         project = cu._ChiProjector(R, half)
         rotated = copy.copy(project)
-        rotated.num = project.num[1:] + project.num[:1]
-        rotated.den = project.den[1:] + project.den[:1]
+        num, den = cell_maps(R, half)
+        rotated.cells = cu._cell_rows(np.roll(num, -1), np.roll(den, -1),
+                                      R.pn * R.chi_order)
         differs = False
         for q in aux_primes(ell, p, R.N, 4):
             want = projection_by_entries(
@@ -249,6 +275,46 @@ PINNED_RECORDS = [
      282052097, 301174273, 337028353, 358540801, 368101889, 380053249,
      408736513, 437419777, 468493313, 516298753,))]
 
+
+
+def orbit_values_by_pow(ell, q):
+    """Reference orbit values: rho^b - rho^-b mod q by two pows per b."""
+    rho = pow(primitive_root(q), (q - 1) // ell, q)
+    return [(pow(rho, b, q) - pow(rho, ell - b, q)) % q
+            for b in cu._orbit(ell).tolist()]
+
+
+def first_prime_above(bound, modulus):
+    q = bound - bound % modulus + 1
+    while q < bound or not is_prime(q):
+        q += modulus
+    return q
+
+
+class TestCellQuotients:
+    # the orbit values and cell quotients against Python ints, for an aux
+    # prime of each product in arith.mulmod: a 28-bit q (int64 products),
+    # the pinned primes of 7351, chi id 2, above 2^39 (16-bit limbs), and
+    # a q above 2^47 (Python ints)
+    @pytest.mark.parametrize("ell, p, chi_order, qs", [
+        (2857, 3, 2, [q for q in aux_primes(2857, 3, 6, 8)
+                      if q.bit_length() == 28]),
+        (7351, 7, 3, [q for q in PINNED_RECORDS[3][-1] if q >> 39]),
+        (13, 3, 2, [first_prime_above(1 << 47, cu._aux_modulus(13, 3, 2))])],
+        ids=["28-bit", "above-2^39", "above-2^47"])
+    def test_match_python_ints(self, ell, p, chi_order, qs):
+        n = cu.tower_exponent(ell, p)
+        R = iw.ring_make(p, n, chi_order, 2 if ell == 13 else n + 5)
+        half = (ell - 1) // 2
+        project = cu._ChiProjector(R, half)
+        orbit = cu._orbit(ell)
+        assert qs
+        for q in qs:
+            assert (q - 1) % cu._aux_modulus(ell, p, R.N) == 0
+            _, d = cu._orbit_values(ell, q, orbit)
+            assert d.tolist() == orbit_values_by_pow(ell, q)
+            assert (project.cell_quotients(d, q)
+                    == cell_quotients_by_loop(R, half, d, q))
 
 
 class TestComputeFittingIdeal:
