@@ -125,7 +125,8 @@ class TestMulmod:
     # on each side of the switch from the int64 product to 16-bit limbs
     # (3037000500) and from limbs to Python ints (2^47), and near 2^39
     @pytest.mark.parametrize("q, dtype", [
-        (3037000500, np.int64), (3037000501, np.int64),
+        (3037000499, np.int64), (3037000500, np.int64),
+        (3037000501, np.int64),
         ((1 << 39) - 7, np.int64), ((1 << 47) - 1, np.int64),
         (1 << 47, object), ((1 << 47) + 5, object)])
     def test_matches_python_ints(self, q, dtype):
