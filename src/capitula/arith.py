@@ -194,27 +194,14 @@ def p_power_dlogs(values, g, q, p, e):
 
 
 _DIRECT_BOUND = isqrt((1 << 63) - 1) + 1  # (q-1)^2 < 2^63 up to here
-_LIMB_BOUND = 1 << 47  # (q-1) * 2^16 < 2^63 below here
 
 
 def mulmod(a, b, q):
     """a*b mod q elementwise, for arrays (or nested lists) of residues in
-    [0, q), as an array: int64 below 2^47, dtype=object (Python ints) from
-    there on.
-
-    Up to _DIRECT_BOUND the int64 product is exact.  Below 2^47, b is split
-    into 16-bit limbs and taken by Horner, r -> (r*2^16 mod q + a*limb) mod
-    q, every term below (q-1)*2^16 < 2^63."""
-    dtype = np.int64 if q < _LIMB_BOUND else object
-    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
-    if q <= _DIRECT_BOUND or q >= _LIMB_BOUND:
-        return a * b % q
-    shift = (q.bit_length() - 1) // 16 * 16
-    r = a * (b >> shift) % q
-    while shift:
-        shift -= 16
-        r = ((r << 16) % q + a * (b >> shift & 0xFFFF)) % q
-    return r
+    [0, q), as an array: int64 up to _DIRECT_BOUND, where the int64 product
+    is exact, and dtype=object (Python ints) above it."""
+    dtype = np.int64 if q <= _DIRECT_BOUND else object
+    return np.asarray(a, dtype=dtype) * np.asarray(b, dtype=dtype) % q
 
 
 # ---------------------------------------------------------------------------

@@ -294,8 +294,8 @@ def first_prime_above(bound, modulus):
 class TestCellQuotients:
     # the orbit values and cell quotients against Python ints, for an aux
     # prime of each product in arith.mulmod: a 28-bit q (int64 products),
-    # the pinned primes of 7351, chi id 2, above 2^39 (16-bit limbs), and
-    # a q above 2^47 (Python ints)
+    # and Python ints for the pinned primes of 7351, chi id 2, above 2^39,
+    # and a q above 2^47
     @pytest.mark.parametrize("ell, p, chi_order, qs", [
         (2857, 3, 2, [q for q in aux_primes(2857, 3, 6, 8)
                       if q.bit_length() == 28]),
