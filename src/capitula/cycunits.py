@@ -49,6 +49,10 @@ from .iwasawa import (EigenRing, RingIdeal, ideal_make, parse_element,
 _SIGMA_SIGN = 1
 _CHI_SIGN = -1
 
+# Below this many orbit elements the per-q stage runs in Python ints: there
+# a few dozen products cost less than the numpy calls of the array path
+_ARRAY_HALF = 100
+
 
 def _aux_modulus(ell, p, N):
     """The modulus m of the auxiliary primes q = 1 (mod m): ell * p^N,
@@ -80,12 +84,19 @@ def _orbit(ell):
 
 def _orbit_values(ell, q, orbit):
     """(w, d) with w the least primitive root mod q and d[e] = rho^b -
-    rho^-b mod q at b = orbit[e], rho = w^((q-1)/ell): an array of residues
-    in [0, q), of arith.mulmod's dtype.  d is gathered from the ell powers
-    of rho, formed as one outer product of the s = ceil(sqrt(ell)) baby
-    steps rho^j and the giant steps rho^(s*i), i < ceil(ell/s)."""
+    rho^-b mod q at b = orbit[e], rho = w^((q-1)/ell): residues in [0, q),
+    read off the ell powers of rho.  Below _ARRAY_HALF orbit elements d is
+    a list and the powers are taken one by one.  Otherwise d is an array of
+    arith.mulmod's dtype, and the powers are one outer product of the s =
+    ceil(sqrt(ell)) baby steps rho^j and the giant steps rho^(s*i), i <
+    ceil(ell/s)."""
     w = primitive_root(q)
     rho = pow(w, (q - 1) // ell, q)
+    if len(orbit) < _ARRAY_HALF:
+        powers = [1] * ell
+        for k in range(1, ell):
+            powers[k] = powers[k - 1] * rho % q
+        return w, [(powers[b] - powers[ell - b]) % q for b in orbit.tolist()]
     s = isqrt(ell - 1) + 1
     baby = [1] * s
     for j in range(1, s):
@@ -167,19 +178,29 @@ class _ChiProjector:
         return self.zpow[[_CHI_SIGN * chi_id * y % m for y in range(m)]]
 
     def cell_quotients(self, d, q):
-        """N_k/D_k mod q for each cell k, from the orbit values d, an array
-        of residues mod q: the rows of self.cells gathered from d and
-        multiplied pairwise down to one column."""
+        """N_k/D_k mod q for each cell k, from the orbit values d of
+        _orbit_values: the product of each row of self.cells read from d,
+        one by one below _ARRAY_HALF values, and otherwise by gathering the
+        rows and multiplying them pairwise down to one column."""
         if (q - 1) % self.modulus:
             raise BadAuxPrime(f"q = {q} is not 1 mod {self.modulus}")
-        v = np.append(d, 1)[self.cells]
-        while v.shape[1] > 1:
-            h = v.shape[1] // 2
-            if v.shape[1] % 2:
-                v[:, 0] = mulmod(v[:, 0], v[:, -1], q)
-            v = mulmod(v[:, :h], v[:, h:2 * h], q)
+        if len(d) < _ARRAY_HALF:
+            d = [*d, 1]
+            prods = []
+            for row in self.cells.tolist():
+                x = 1
+                for i in row:
+                    x = x * d[i] % q
+                prods.append(x)
+        else:
+            v = np.append(d, 1)[self.cells]
+            while v.shape[1] > 1:
+                h = v.shape[1] // 2
+                if v.shape[1] % 2:
+                    v[:, 0] = mulmod(v[:, 0], v[:, -1], q)
+                v = mulmod(v[:, :h], v[:, h:2 * h], q)
+            prods = v[:, 0].tolist()
         K = self.ring.pn * self.ring.chi_order
-        prods = v[:, 0].tolist()
         num, den = prods[:K], prods[K:]
         # one inverse of the product of all D_k, peeled back cell by cell
         # with the prefix products

@@ -293,9 +293,9 @@ def first_prime_above(bound, modulus):
 
 class TestCellQuotients:
     # the orbit values and cell quotients against Python ints, for an aux
-    # prime of each product in arith.mulmod: a 28-bit q (int64 products),
-    # and Python ints for the pinned primes of 7351, chi id 2, above 2^39,
-    # and a q above 2^47
+    # prime of each path: arrays of int64 products for a 28-bit q, arrays
+    # of Python ints for the pinned primes of 7351, chi id 2, above 2^39,
+    # and lists (fewer than _ARRAY_HALF orbit values) for a q above 2^47
     @pytest.mark.parametrize("ell, p, chi_order, qs", [
         (2857, 3, 2, [q for q in aux_primes(2857, 3, 6, 8)
                       if q.bit_length() == 28]),
@@ -312,9 +312,25 @@ class TestCellQuotients:
         for q in qs:
             assert (q - 1) % cu._aux_modulus(ell, p, R.N) == 0
             _, d = cu._orbit_values(ell, q, orbit)
-            assert d.tolist() == orbit_values_by_pow(ell, q)
+            assert [int(x) for x in d] == orbit_values_by_pow(ell, q)
             assert (project.cell_quotients(d, q)
                     == cell_quotients_by_loop(R, half, d, q))
+
+    # lists and arrays at one conductor, for a q on each side of the
+    # int64-product bound
+    @pytest.mark.parametrize("array_half", [0, 10**9], ids=["arrays", "lists"])
+    @pytest.mark.parametrize("bits", [28, 40])
+    def test_paths_match_python_ints(self, monkeypatch, array_half, bits):
+        monkeypatch.setattr(cu, "_ARRAY_HALF", array_half)
+        ell, p = 229, 3
+        R = working_ring(ell, p, 2)
+        half = (ell - 1) // 2
+        q = first_prime_above(1 << bits, cu._aux_modulus(ell, p, R.N))
+        _, d = cu._orbit_values(ell, q, cu._orbit(ell))
+        assert isinstance(d, list) == bool(array_half)
+        assert [int(x) for x in d] == orbit_values_by_pow(ell, q)
+        assert (cu._ChiProjector(R, half).cell_quotients(d, q)
+                == cell_quotients_by_loop(R, half, d, q))
 
 
 class TestComputeFittingIdeal:
