@@ -111,14 +111,17 @@ def _orbit_values(ell, q, orbit):
 
 def _cell_rows(num, den, K):
     """The indices i of the cell maps num and den (arrays of cells in [0,
-    K), one per i) grouped by cell: 2K rows, those of num first, each
-    padded to the widest cell with the index len(num) of an appended 1.
-    The cells of a character's projection are equal, of len(num)/K indices
-    each, as chi_order divides the prime-to-p part of (ell-1)/2."""
+    K), one per i) grouped by cell: 2K rows, those of num first.  The
+    cells of a character's projection are equal, of len(num)/K indices
+    each, as chi_order divides the prime-to-p part of (ell-1)/2, and the
+    rows are then the sorted indices cut in 2K.  Unequal cells are padded
+    to the widest with the index len(num) of an appended 1."""
     half = len(num)
     cells = np.concatenate([num, K + den])
     order = np.argsort(cells, kind="stable")
     counts = np.bincount(cells, minlength=2 * K)
+    if counts.min() == counts.max():
+        return (order % half).reshape(2 * K, -1)
     rows = np.full((2 * K, counts.max()), half)
     # the place of each index in its row: its rank after its row's start
     starts = np.repeat(np.cumsum(counts) - counts, counts)
