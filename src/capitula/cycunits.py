@@ -114,19 +114,13 @@ def _cell_rows(num, den, K):
     K), one per i) grouped by cell: 2K rows, those of num first.  The
     cells of a character's projection are equal, of len(num)/K indices
     each, as chi_order divides the prime-to-p part of (ell-1)/2, and the
-    rows are then the sorted indices cut in 2K.  Unequal cells are padded
-    to the widest with the index len(num) of an appended 1."""
-    half = len(num)
+    rows are the sorted indices cut in 2K.  Unequal cells raise ValueError:
+    cut in 2K rows, they would mix indices of different cells."""
     cells = np.concatenate([num, K + den])
-    order = np.argsort(cells, kind="stable")
     counts = np.bincount(cells, minlength=2 * K)
-    if counts.min() == counts.max():
-        return (order % half).reshape(2 * K, -1)
-    rows = np.full((2 * K, counts.max()), half)
-    # the place of each index in its row: its rank after its row's start
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    rows[cells[order], np.arange(2 * half) - starts] = order % half
-    return rows
+    if counts.min() != counts.max():
+        raise ValueError("the cells of a projection must be of one size")
+    return (np.argsort(cells, kind="stable") % len(num)).reshape(2 * K, -1)
 
 
 class _ChiProjector:
@@ -188,7 +182,6 @@ class _ChiProjector:
         if (q - 1) % self.modulus:
             raise BadAuxPrime(f"q = {q} is not 1 mod {self.modulus}")
         if len(d) < _ARRAY_HALF:
-            d = [*d, 1]
             prods = []
             for row in self.cells.tolist():
                 x = 1
@@ -196,7 +189,7 @@ class _ChiProjector:
                     x = x * d[i] % q
                 prods.append(x)
         else:
-            v = np.append(d, 1)[self.cells]
+            v = d[self.cells]
             while v.shape[1] > 1:
                 h = v.shape[1] // 2
                 if v.shape[1] % 2:

@@ -569,6 +569,13 @@ class RingIdeal:
         return (f"RingIdeal({self.ring!r}, rows={self.howell.shape[0]}, "
                 f"scalar_level={self.scalar_level})")
 
+    @cached_property
+    def _class_invariants(self):
+        # read once per ideal: the scan's class part and
+        # capitulation_module both ask for them
+        R = self.ring
+        return tuple(quotient_invariants(self.howell[:, :R.f], R.p, R.N))
+
     def grow(self, gens) -> "RingIdeal":
         """The ideal generated by this one and gens: the Howell form of its
         Howell rows stacked on the orbit rows of gens.  Each gen may be a
@@ -701,8 +708,7 @@ def eigenspace_class_invariants(I) -> tuple:
     """Cyclic invariants of R/(I + (T)) — the chi-part of the class group
     as an abelian group.  R/(T) = O/p^N is the constant coefficient."""
     _require_precision(I)
-    R = I.ring
-    return tuple(quotient_invariants(I.howell[:, :R.f], R.p, R.N))
+    return I._class_invariants
 
 
 def eigenspace_class_order(I) -> int:

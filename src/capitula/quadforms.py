@@ -116,15 +116,15 @@ def reduce_indefinite(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     return BinaryQuadraticForm(a, b, c)
 
 
-def _cycle(f: BinaryQuadraticForm):
-    """The full rho-cycle through a reduced indefinite form."""
-    d = f.discriminant
+def _cycle(f, d):
+    """The full rho-cycle through the reduced indefinite form f = (a, b, c)
+    of discriminant d, as (a, b, c) tuples."""
     s = isqrt(d)
     out = [f]
-    g = BinaryQuadraticForm(*_rho(f.b, f.c, d, s))
+    g = _rho(f[1], f[2], d, s)
     while g != f:
         out.append(g)
-        g = BinaryQuadraticForm(*_rho(g.b, g.c, d, s))
+        g = _rho(g[1], g[2], d, s)
     return out
 
 
@@ -132,7 +132,8 @@ def canonical(f: BinaryQuadraticForm) -> BinaryQuadraticForm:
     """Deterministic representative of the equivalence class of f."""
     if f.discriminant < 0:
         return reduce_definite(f)
-    return min(_cycle(reduce_indefinite(f)))
+    g = reduce_indefinite(f)
+    return BinaryQuadraticForm(*min(_cycle((g.a, g.b, g.c), g.discriminant)))
 
 
 def _ext_gcd(a, b):
@@ -207,27 +208,21 @@ def _reduced_definite_forms(d):
     return forms
 
 
-def _divisors(n):
-    out = [1]
-    for p, e in factor(n).factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return out
-
-
 def _reduced_indefinite_forms(d):
+    """The reduced primitive forms (a, b, c) of discriminant d > 0, as
+    tuples: 0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b (Cohen, A
+    Course in Computational Algebraic Number Theory, 5.6).  A fundamental d
+    is no square, so s = isqrt(d) < sqrt(d) < s + 1, and for integers the
+    window reads b <= s and s - b < 2|a| <= s + b: |a| runs from
+    (s - b)//2 + 1 to (s + b)//2, and each a is tested by division of
+    (d - b^2)/4, with no factoring."""
     s = isqrt(d)
-    forms = []
-    start = 1 if d % 2 else 2
-    for b in range(start, s + 1, 2):
+    for b in range(2 - d % 2, s + 1, 2):
         n = (d - b * b) // 4
-        if n <= 0:
-            continue
-        for a in _divisors(n):
-            for aa in (a, -a):
-                f = BinaryQuadraticForm(aa, b, (b * b - d) // (4 * aa))
-                if _is_reduced_indefinite(f.a, f.b, d) and f.is_primitive():
-                    forms.append(f)
-    return sorted(set(forms))
+        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+            if n % a == 0 and gcd(gcd(a, b), n // a) == 1:
+                yield a, b, -(n // a)
+                yield -a, b, n // a
 
 
 @dataclass(frozen=True)
@@ -281,16 +276,14 @@ def class_group(d: int) -> FormClassGroup:
     if d < 0:
         elements = sorted(_reduced_definite_forms(d))
     else:
-        reduced = _reduced_indefinite_forms(d)
         seen = set()
-        elements = []
-        for f in reduced:
-            if f in seen:
-                continue
-            cyc = _cycle(f)
-            seen.update(cyc)
-            elements.append(min(cyc))
-        elements.sort()
+        minima = []
+        for f in _reduced_indefinite_forms(d):
+            if f not in seen:
+                cyc = _cycle(f, d)
+                seen.update(cyc)
+                minima.append(min(cyc))
+        elements = [BinaryQuadraticForm(*f) for f in sorted(minima)]
     h = len(elements)
     invariants = _abelian_invariants(elements, d, h)
     return FormClassGroup(d, h, invariants, tuple(elements))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from capitula import cli, criteria, cycunits
+from capitula import cli, criteria, cycunits, iwasawa
 from capitula.errors import PrecisionTooLow, RingMismatch
 
 SHIPPED = Path(__file__).resolve().parent.parent / ".scan_cache"
@@ -306,6 +306,23 @@ class TestScans:
         calls.clear()
         cli.scan_quadratic(3, 1, 12, 800, cache=cache)
         assert calls == ["fitting_p3_chi2.txt"]
+
+    def test_warm_scan_reads_each_class_part_once(self, tmp_path,
+                                                  monkeypatch):
+        # the 45 conductors below 500 take one Smith form each for their
+        # class part, which capitulation_module reads again for the 3 that
+        # reach it; their modules add 5 Smith forms of their own
+        cache = shipped_cache(tmp_path, "fitting_p2_chi3.txt")
+        calls = []
+        smith = iwasawa.quotient_invariants
+
+        def counting(*args):
+            calls.append(args)
+            return smith(*args)
+
+        monkeypatch.setattr(iwasawa, "quotient_invariants", counting)
+        cli.scan_cubic(2, 500, cache=cache)
+        assert len(calls) == 45 + 5
 
     def test_warm_scan_jobs_match(self, tmp_path):
         cache = shipped_cache(tmp_path)

@@ -149,7 +149,7 @@ class TestUnitImage:
             cu._ChiProjector(iw.ring_make(2, 3, 1, 30), 8)
 
     @pytest.mark.parametrize("ell, p, chi_order, chi_id", [
-        (2917, 3, 2, 1), (2857, 3, 2, 1), (401, 5, 2, 1), (257, 2, 3, 1),
+        (2917, 3, 2, 1), (2857, 3, 2, 1), (401, 5, 2, 1), (163, 2, 3, 1),
         (7681, 2, 3, 1), (7681, 2, 3, 2), (211, 7, 3, 1), (211, 7, 3, 2)])
     def test_projection_matches_entry_loop(self, ell, p, chi_order, chi_id):
         # lambda from the cell products against the projection, entry by
@@ -172,6 +172,10 @@ class TestUnitImage:
             assert cell_lambdas(project, ell, q, chi_id) == want
             differs |= cell_lambdas(rotated, ell, q, chi_id) != want
         assert differs
+
+    def test_unequal_cells_raise(self):
+        with pytest.raises(ValueError):
+            cu._cell_rows(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 0]), 2)
 
     @pytest.mark.parametrize("ell, p, chi_order, chi_id, unit", [
         (2857, 3, 2, 1, False), (7681, 2, 3, 2, True), (211, 7, 3, 1, True),

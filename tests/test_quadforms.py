@@ -1,11 +1,13 @@
 import random
-from math import isqrt
+from collections import Counter
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capitula import quadforms as qf
+from capitula.arith import factor, is_prime
 from capitula.errors import NormMinusOne, NotFundamental, Overflow
 
 
@@ -31,6 +33,23 @@ INDEFINITE_H = {5: 1, 8: 1, 12: 2, 13: 1, 24: 2, 40: 2, 60: 4, 229: 3, 257: 3, 2
 
 def fundamental_discs(lo, hi):
     return [d for d in range(lo, hi) if qf.is_fundamental(d)]
+
+
+def reduced_forms_by_divisors(d):
+    """The reduced primitive forms (a, b, c) of discriminant d > 0 found by
+    factoring: for each b, every divisor of (d - b^2)/4 with both signs as
+    a, kept when the form is reduced and primitive."""
+    forms = set()
+    for b in range(2 - d % 2, isqrt(d) + 1, 2):
+        n = (d - b * b) // 4
+        divisors = [1]
+        for p, e in factor(n).factors:
+            divisors = [a * p**k for a in divisors for k in range(e + 1)]
+        for a in divisors + [-a for a in divisors]:
+            c = -n // a
+            if qf._is_reduced_indefinite(a, b, d) and gcd(gcd(a, b), c) == 1:
+                forms.add((a, b, c))
+    return forms
 
 
 class TestClassGroup:
@@ -86,6 +105,30 @@ class TestClassGroup:
         assert qf.p_part(g, 2) == [2, 2]
         assert qf.p_part(g, 3) == []
         assert qf.p_part(qf.class_group(7873), 3) == [9]
+
+    def test_window_matches_divisor_enumeration(self):
+        # sets of forms, not h: a window without its upper end loses forms
+        # at about half of these d but changes h at one
+        discs = fundamental_discs(5, 6000)
+        assert len(discs) == 1826
+        for d in discs:
+            forms = list(qf._reduced_indefinite_forms(d))
+            assert len(forms) == len(set(forms))
+            assert set(forms) == reduced_forms_by_divisors(d), d
+
+    def test_prime_conductor_class_groups(self):
+        # every prime l = 1 mod 4 below 2*10^4: the class numbers and the
+        # p-parts at p = 3, 5 and 7 that the real quadratic surveys read
+        groups = [qf.class_group(ell) for ell in range(5, 20000, 4)
+                  if is_prime(ell)]
+        assert len(groups) == 1125
+        assert sum(g.h for g in groups) == 2041
+        assert sum(g.h > 1 for g in groups) == 208
+        parts = {p: Counter(tuple(qf.p_part(g, p)) for g in groups
+                            if qf.p_part(g, p))
+                 for p in (3, 5, 7)}
+        assert parts == {3: {(3,): 118, (9,): 11, (27,): 1},
+                         5: {(5,): 44}, 7: {(7,): 25}}
 
     def test_ambiguous_count_genus_theory(self):
         # number of ambiguous classes is 2^(s-1), s = number of prime divisors of d
